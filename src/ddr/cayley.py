@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Mapping, Optional, Sequence
 
-from .core import Letter, Presentation, Word, word_support
+from .core import Letter, Presentation, Word, check_preconditions, word_support
 
 COLLAPSED = "COLLAPSED"
 STUCK = "STUCK"
@@ -366,9 +366,7 @@ def decide_finite(p: Presentation, subset, limit: int) -> FiniteDecision:
     enumerate: collapse the full finite universal-cover complex.  The greedy
     collapse is order-independent, so COLLAPSED and STUCK are both
     conclusive; an enumeration overflow is honest UNKNOWN."""
-    s = frozenset(subset)
-    if s == p.generator_set:
-        raise CayleyError("subset must be proper", code="S_NOT_PROPER")
+    s = check_preconditions(p, subset, CayleyError, cyclically_reduced=False)
     table = coset_enumeration(p, limit)
     if table is None:
         return FiniteDecision(UNKNOWN, None, None)
@@ -376,76 +374,3 @@ def decide_finite(p: Presentation, subset, limit: int) -> FiniteDecision:
     log = directed_collapse(complex_.cells, p, s)
     verdict = DECIDED_DR if log.verdict == COLLAPSED else DECIDED_NOT_DR
     return FiniteDecision(verdict, table, log)
-
-
-# --- user-supplied subcomplexes --------------------------------------------
-
-def parse_subcomplex(text: str, p: Presentation) -> tuple[CayleyCell, ...]:
-    """Subcomplex file: `table <element> <generator> <image>` lines giving a
-    partial action, then `cell <element> <relator-index>` lines.  Every
-    cell's relator lift must be traceable through the partial table and
-    close up."""
-    action: dict[tuple[int, str], int] = {}
-    inverse: dict[tuple[int, str], int] = {}
-    cell_specs: list[tuple[int, int]] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split()
-        if parts[0] == "table" and len(parts) == 4:
-            try:
-                src, gen, dst = int(parts[1]), parts[2], int(parts[3])
-            except ValueError as exc:
-                raise CayleyError(f"line {lineno}: {exc}", code="SYNTAX") from exc
-            if gen not in p.generator_set:
-                raise CayleyError(f"line {lineno}: unknown generator {gen!r}",
-                                  code="X_INCONSISTENT")
-            if (src, gen) in action or (dst, gen) in inverse:
-                raise CayleyError(f"line {lineno}: conflicting table entry", code="SYNTAX")
-            action[(src, gen)] = dst
-            inverse[(dst, gen)] = src
-        elif parts[0] == "cell" and len(parts) == 3:
-            try:
-                cell_specs.append((int(parts[1]), int(parts[2])))
-            except ValueError as exc:
-                raise CayleyError(f"line {lineno}: {exc}", code="SYNTAX") from exc
-        else:
-            raise CayleyError(f"line {lineno}: expected 'table ...' or 'cell ...'",
-                              code="SYNTAX")
-    cells = []
-    for element, r_idx in cell_specs:
-        if not (0 <= r_idx < len(p.relators)):
-            raise CayleyError(f"cell ({element},{r_idx}): relator index out of range",
-                              code="X_INCONSISTENT")
-        steps = []
-        cur = element
-        for letter in p.relators[r_idx]:
-            if letter.sign > 0:
-                if (cur, letter.gen) not in action:
-                    raise CayleyError(
-                        f"cell ({element},{r_idx}): action of {letter.gen!r} undefined at {cur}",
-                        code="X_INCONSISTENT")
-                steps.append(((cur, letter.gen), 1))
-                cur = action[(cur, letter.gen)]
-            else:
-                if (cur, letter.gen) not in inverse:
-                    raise CayleyError(
-                        f"cell ({element},{r_idx}): inverse action of {letter.gen!r} "
-                        f"undefined at {cur}", code="X_INCONSISTENT")
-                cur = inverse[(cur, letter.gen)]
-                steps.append(((cur, letter.gen), -1))
-        if cur != element:
-            raise CayleyError(f"cell ({element},{r_idx}): boundary does not close",
-                              code="X_INCONSISTENT")
-        cells.append(CayleyCell(element, r_idx, tuple(steps)))
-    return tuple(cells)
-
-
-def refute_with_subcomplex(cells: Sequence[CayleyCell], p: Presentation,
-                           subset) -> Optional[CollapseLog]:
-    """A stuck finite subcomplex refutes directedness away from the subset;
-    returns the stuck log as the witness, or None when the subcomplex
-    collapses."""
-    log = directed_collapse(cells, p, subset)
-    return log if log.verdict == STUCK else None

@@ -1,329 +1,32 @@
-"""Orchestration pipeline, consequence derivation, and the command line.
+"""The command line: argument parsing, file reading and printing.
 
-`run_check` tries the tests cheap-to-expensive: the free-edge shortcut, the
-one-relator criterion, the forest test, the small-cancellation certificate,
-the weight search, and finally the finite-group decision.  The first
-conclusive answer wins unless run_all is set; failures stay visible in the
-report's attempt list, and UNKNOWN is an honest verdict.
+`ddr check` runs the test pipeline of `ddr.pipeline` on a presentation,
+`ddr lot` certifies sub-LOTs of a labeled oriented tree, and `ddr diagram`
+validates a diagram and tests it against a directedness claim.  Exit codes:
+0 certified or decided reducible, 1 refuted or decided not reducible,
+2 unknown, 3 input error.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass, replace
 from pathlib import Path
 
 from . import __version__
-from .certificates import (CERTIFIED_DR_ALL_DIRECTIONS, CERTIFIED_DR_AWAY_FROM,
-                           DECIDED_DR, DECIDED_NOT_DR, REFUTED, UNKNOWN,
-                           Certificate, Report)
-from .cayley import CayleyError, decide_finite
-from .core import (Presentation, PresentationError, free_edge_generators,
-                   is_cyclically_reduced, parse_presentation, presentation_digest,
-                   subpresentation, word_stats, word_support)
+from .certificates import UNKNOWN, Report
+from .cayley import CayleyError
+from .core import PresentationError, parse_presentation, presentation_digest
 from .diagram import (REFUTES, DiagramError, directed_verdict, folding_edges,
                       loads_diagram, validate_diagram)
 from .lot import (LotError, certify_lot, lot_presentation, lot_properties,
                   parse_lot_document, reorient_positive_tree, serialize_lot, sub_lots)
-from .smallcancel import SmallCancellationError, certify_s44
-from .weights import (WeightAssignment, WeightError, search_weights,
-                      verify_weight_test)
-from .whitehead import (NEGATIVE, POSITIVE, GraphView, build_whitehead, is_forest)
+from .pipeline import (TEST_ORDER, CheckConfig, check_diagram, derive_consequences,
+                       diagram_refutation, run_check)
+from .smallcancel import SmallCancellationError
+# search_weights is unused here; bench/test_harness.py checks its tracer rebinds it
+from .weights import WeightAssignment, WeightError, search_weights
 
-TEST_ORDER = ("free", "onerel", "forest", "s44", "weight", "finite")
-
-
-@dataclass
-class CheckConfig:
-    tests: tuple[str, ...] = TEST_ORDER
-    coset_limit: int = 20000
-    weights: WeightAssignment | None = None
-    all_directions: bool = False
-    run_all: bool = False
-
-
-def _attempt(name: str, status: str, reason: str | None = None) -> dict:
-    out = {"test": name, "status": status}
-    if reason:
-        out["reason"] = reason
-    return out
-
-
-def _free_edge_test(p: Presentation, s: frozenset[str], digest: str):
-    """Shortcut: if every relator not carried by the subset contains a
-    generator outside the subset occurring exactly once in the whole
-    presentation, any diagram edge outside the subset forces a folding edge
-    at that unique occurrence."""
-    free = free_edge_generators(p)
-    chosen = {}
-    for idx, rel in enumerate(p.relators):
-        if word_support(rel) <= s:
-            continue
-        witness = next((g for g in sorted(word_support(rel)) if g not in s and g in free),
-                       None)
-        if witness is None:
-            return None, _attempt("free", "unknown",
-                                  f"relator {idx} has no free-edge generator outside the subset")
-        chosen[idx] = witness
-    cert = Certificate(digest, tuple(sorted(s)), CERTIFIED_DR_AWAY_FROM, "free",
-                       evidence={"free_edge_per_relator": {str(k): v for k, v in
-                                                           sorted(chosen.items())}})
-    return cert, _attempt("free", "certified")
-
-
-def _one_relator_test(p: Presentation, s, digest: str):
-    if len(p.relators) != 1:
-        return None, _attempt("onerel", "unknown", "not a one-relator presentation")
-    rel = p.relators[0]
-    if not rel:
-        return None, _attempt("onerel", "unknown", "empty relator")
-    if not is_cyclically_reduced(rel):
-        return None, _attempt("onerel", "unknown", "relator is not cyclically reduced")
-    period = word_stats(rel).proper_power_period
-    if period is not None:
-        return None, _attempt("onerel", "unknown", f"relator is a proper power (period {period})")
-    cert = Certificate(digest, None, CERTIFIED_DR_ALL_DIRECTIONS, "onerel",
-                       evidence={"relator_length": len(rel), "proper_power": False})
-    return cert, _attempt("onerel", "certified")
-
-
-def _forest_test(p: Presentation, s: frozenset[str], digest: str):
-    """Exponent-sum-zero relators with a forest positive or negative graph:
-    reducibility directed away from each single generator, and plain
-    reducibility for the empty subset."""
-    if not p.relators:
-        return None, _attempt("forest", "unknown", "no relators")
-    sums = [word_stats(r).total_exponent_sum for r in p.relators]
-    if any(v != 0 for v in sums):
-        return None, _attempt("forest", "unknown", "some relator has nonzero exponent sum")
-    if not all(is_cyclically_reduced(r) for r in p.relators):
-        return None, _attempt("forest", "unknown", "relators not cyclically reduced")
-    if len(s) > 1:
-        return None, _attempt("forest", "unknown",
-                              "conclusion covers the empty set and single generators only")
-    graph = build_whitehead(p)
-    for mode in (POSITIVE, NEGATIVE):
-        if is_forest(GraphView(graph, mode)).forest:
-            cert = Certificate(digest, tuple(sorted(s)), CERTIFIED_DR_AWAY_FROM, "forest",
-                               evidence={"side": mode, "exponent_sums": sums})
-            return cert, _attempt("forest", "certified")
-    return None, _attempt("forest", "unknown", "neither side of the graph is a forest")
-
-
-def _s44_test(p: Presentation, s: frozenset[str], digest: str):
-    try:
-        cert = certify_s44(p, s)
-    except SmallCancellationError as exc:
-        return None, _attempt("s44", "skipped", f"{exc.code}: {exc}")
-    if cert.positive:
-        return cert, _attempt("s44", "certified")
-    return None, _attempt("s44", "unknown", cert.evidence.get("failed_hypothesis"))
-
-
-def _weight_test(p: Presentation, s: frozenset[str], digest: str,
-                 config: CheckConfig):
-    try:
-        if config.weights is not None:
-            wcert = verify_weight_test(p, s, config.weights)
-            if wcert.passed:
-                cert = Certificate(digest, tuple(sorted(s)), CERTIFIED_DR_AWAY_FROM,
-                                   "weight", evidence={"weights": wcert.to_json_dict(),
-                                                       "source": "supplied"})
-                return cert, _attempt("weight", "certified")
-            failed = [r.condition for r in wcert.reports if not r.passed]
-            return None, _attempt("weight", "unknown",
-                                  f"supplied weights fail conditions {failed}")
-        assignment = search_weights(p, s)
-    except WeightError as exc:
-        return None, _attempt("weight", "skipped", f"{exc.code}: {exc}")
-    if assignment is None:
-        return None, _attempt("weight", "unknown",
-                              "linear program infeasible; the test is sufficient, "
-                              "not necessary, so this refutes nothing")
-    wcert = verify_weight_test(p, s, assignment)
-    cert = Certificate(digest, tuple(sorted(s)), CERTIFIED_DR_AWAY_FROM, "weight",
-                       evidence={"weights": wcert.to_json_dict(), "source": "search"})
-    return cert, _attempt("weight", "certified")
-
-
-def _finite_test(p: Presentation, s: frozenset[str], digest: str, config: CheckConfig):
-    try:
-        decision = decide_finite(p, s, config.coset_limit)
-    except CayleyError as exc:
-        return None, _attempt("finite", "skipped", f"{exc.code}: {exc}")
-    if decision.verdict == "UNKNOWN":
-        return None, _attempt("finite", "unknown",
-                              f"enumeration exceeded {config.coset_limit} cosets")
-    verdict = DECIDED_DR if decision.verdict == "DECIDED_DR" else DECIDED_NOT_DR
-    cert = Certificate(digest, tuple(sorted(s)), verdict, "finite",
-                       evidence={"group_order": decision.table.element_count,
-                                 "collapse": decision.log.to_json_dict()})
-    if verdict == DECIDED_DR:
-        cert.notes = ("derived remark: since the group is finite, the collapse of the "
-                      "full covering complex also collapses the base complex into the "
-                      "subcomplex carried by the subset.",)
-    return cert, _attempt("finite", "decided")
-
-
-def derive_consequences(cert: Certificate, p: Presentation, s: frozenset[str]) -> list[dict]:
-    """Group-theoretic consequences of a positive directed-reducibility
-    certificate: second-homotopy generation, injectivity on fundamental
-    groups, free subgroups, and asphericity."""
-    if not cert.positive:
-        raise ValueError("consequences are derived from positive certificates only")
-    out: list[dict] = []
-    if cert.verdict == CERTIFIED_DR_ALL_DIRECTIONS:
-        out.append({
-            "kind": "injectivity_all_subsets",
-            "statement": "every subset of the generators includes injectively on "
-                         "fundamental groups",
-        })
-        if all(word_support(rel) == p.generator_set for rel in p.relators):
-            out.append({
-                "kind": "freiheitssatz_all_subsets",
-                "statement": "every proper subset of the generators generates a free "
-                             "subgroup with that subset as basis",
-            })
-        out.append({
-            "kind": "aspherical",
-            "statement": "the presentation complex is aspherical (diagrammatic "
-                         "reducibility in all directions includes plain reducibility)",
-        })
-        return out
-    subset_txt = "{" + ", ".join(sorted(s)) + "}"
-    out.append({
-        "kind": "pi2_generation",
-        "statement": f"pi2 of the presentation complex is generated, as a module over "
-                     f"the group, by the image of pi2 of the subcomplex carried by "
-                     f"{subset_txt}",
-    })
-    out.append({
-        "kind": "pi1_injectivity",
-        "statement": f"the inclusion of the subcomplex carried by {subset_txt} is "
-                     f"injective on fundamental groups",
-    })
-    if s and all(any(l.gen not in s for l in rel) for rel in p.relators):
-        out.append({
-            "kind": "free_subgroup",
-            "statement": f"{subset_txt} generates a free subgroup with basis {subset_txt}",
-        })
-    if _sub_presentation_dr(p, s):
-        out.append({
-            "kind": "aspherical",
-            "statement": "the presentation complex is aspherical (the carried "
-                         "sub-presentation is itself diagrammatically reducible)",
-        })
-    return out
-
-
-def _sub_presentation_dr(p: Presentation, s: frozenset[str]) -> bool:
-    # cheap static tests only; a miss here just withholds the extra statement
-    ps = subpresentation(p, s)
-    if not ps.relators:
-        return True
-    if all(word_stats(r).total_exponent_sum == 0 for r in ps.relators) and \
-            all(is_cyclically_reduced(r) for r in ps.relators):
-        graph = build_whitehead(ps)
-        if is_forest(GraphView(graph, POSITIVE)).forest or \
-                is_forest(GraphView(graph, NEGATIVE)).forest:
-            return True
-    try:
-        if certify_s44(ps, frozenset()).positive:
-            return True
-    except SmallCancellationError:
-        pass
-    try:
-        return search_weights(ps, frozenset()) is not None
-    except WeightError:
-        return False
-
-
-def run_check(p: Presentation, subset=frozenset(), config: CheckConfig | None = None,
-              ) -> Report:
-    config = config or CheckConfig()
-    digest = presentation_digest(p)
-    report = Report(
-        tool_version=__version__,
-        input_description={"kind": "presentation", "digest": digest,
-                           "generators": list(p.generators),
-                           "relator_count": len(p.relators)},
-        config={"tests": list(config.tests), "coset_limit": config.coset_limit,
-                "all_directions": config.all_directions, "run_all": config.run_all},
-    )
-    if config.all_directions:
-        return _run_all_directions(p, config, digest, report)
-    s = frozenset(subset)
-    unknown = s - p.generator_set
-    if unknown:
-        raise PresentationError(f"subset contains undeclared generators {sorted(unknown)}",
-                                code="UNDECLARED_GENERATOR")
-    if s == p.generator_set:
-        raise PresentationError("the directed-away subset must be proper",
-                                code="S_NOT_PROPER")
-
-    runners = {
-        "free": lambda: _free_edge_test(p, s, digest),
-        "onerel": lambda: _one_relator_test(p, s, digest),
-        "forest": lambda: _forest_test(p, s, digest),
-        "s44": lambda: _s44_test(p, s, digest),
-        "weight": lambda: _weight_test(p, s, digest, config),
-        "finite": lambda: _finite_test(p, s, digest, config),
-    }
-    for name in config.tests:
-        if name not in runners:
-            raise ValueError(f"unknown test {name!r}")
-        cert, attempt = runners[name]()
-        report.attempts.append(attempt)
-        if cert is not None:
-            if cert.positive:
-                cert.consequences = derive_consequences(cert, p, s)
-            report.certificates.append(cert)
-            if not config.run_all:
-                break
-    return report
-
-
-def _run_all_directions(p: Presentation, config: CheckConfig, digest: str,
-                        report: Report) -> Report:
-    if "onerel" in config.tests:
-        cert, attempt = _one_relator_test(p, None, digest)
-        report.attempts.append(attempt)
-        if cert is not None:
-            cert.consequences = derive_consequences(cert, p, frozenset())
-            report.certificates.append(cert)
-            if not config.run_all:
-                return report
-    singles = [frozenset({g}) for g in p.generators]
-    forest_certs = []
-    if "forest" in config.tests:
-        for s in singles:
-            cert, attempt = _forest_test(p, s, digest)
-            if cert is None:
-                report.attempts.append(_attempt("forest", "unknown",
-                                                attempt.get("reason", "")))
-                forest_certs = []
-                break
-            forest_certs.append(cert)
-    if forest_certs:
-        report.attempts.append(_attempt("forest", "certified",
-                                        "directed away from each single generator"))
-        for cert, s in zip(forest_certs, singles):
-            cert.consequences = derive_consequences(cert, p, s)
-            report.certificates.append(cert)
-        return report
-    if not report.certificates:
-        # per-subset fallback: report the singleton runs individually
-        sub_config = replace(config, all_directions=False)
-        for s in singles:
-            sub_report = run_check(p, s, sub_config)
-            report.attempts.extend(
-                {**a, "subset": sorted(s)} for a in sub_report.attempts)
-            report.certificates.extend(sub_report.certificates)
-    return report
-
-
-# --- command line -----------------------------------------------------------
 
 def _parse_subset(text: str | None) -> frozenset[str]:
     if not text:
@@ -364,16 +67,7 @@ def _cmd_check(args) -> int:
     report = run_check(p, subset, config)
     if args.diagram:
         d = loads_diagram(Path(args.diagram).read_text(encoding="utf-8"))
-        verdict = directed_verdict(d, p, subset)
-        if verdict.verdict == REFUTES:
-            report.certificates.append(Certificate(
-                presentation_digest(p), tuple(sorted(subset)), REFUTED, "diagram",
-                evidence={"mode": verdict.mode,
-                          "outside_edges": list(verdict.outside_edges)}))
-            report.attempts.append(_attempt("diagram", "refuted"))
-        else:
-            report.attempts.append(_attempt("diagram", "unknown",
-                                            "diagram is consistent with the claim"))
+        check_diagram(report, d, p, subset)
     return _print_report(report, args.json)
 
 
@@ -408,12 +102,8 @@ def _cmd_lot(args) -> int:
     for name, t in sorted(targets.items()):
         cert = certify_lot(lot, t)
         if cert.positive:
-            have = {c["kind"] for c in cert.consequences}
-            cert.consequences = [
-                c for c in derive_consequences(cert, lot_presentation(lot),
-                                               frozenset(t.vertex_subset))
-                if c["kind"] not in have
-            ] + cert.consequences
+            cert.consequences = derive_consequences(cert, lot_presentation(lot),
+                                                    frozenset(t.vertex_subset))
         report.certificates.append(cert)
         subset = "{" + ", ".join(sorted(t.vertex_subset)) + "}"
         print(f"sublot {name} {subset}: {cert.verdict}"
@@ -447,10 +137,7 @@ def _cmd_diagram(args) -> int:
             tool_version=__version__,
             input_description={"kind": "diagram", "presentation": presentation_digest(p)},
             config={"away_from": sorted(subset)},
-            certificates=[Certificate(presentation_digest(p), tuple(sorted(subset)),
-                                      REFUTED, "diagram",
-                                      evidence={"mode": verdict.mode,
-                                                "outside_edges": list(verdict.outside_edges)})],
+            certificates=[diagram_refutation(p, subset, verdict)],
         )
         if args.json:
             Path(args.json).write_text(report.to_json(), encoding="utf-8")

@@ -187,6 +187,32 @@ def subpresentation(p: Presentation, subset: Iterable[str]) -> Presentation:
     return Presentation(gens, rels)
 
 
+def check_preconditions(p: Presentation, subset=None, error: type = PresentationError, *,
+                        cyclically_reduced: bool = True) -> frozenset[str]:
+    """Validate a directed-away subset and the relators; return the subset.
+
+    The subset must consist of declared generators (UNDECLARED_GENERATOR)
+    and be proper (S_NOT_PROPER); `subset=None` skips both checks.  With
+    `cyclically_reduced`, every relator must be cyclically reduced
+    (NOT_CYCLICALLY_REDUCED).  Faults are raised as `error`, so each module
+    reports them with its own exception type.
+    """
+    s = frozenset(subset or ())
+    if subset is not None:
+        unknown = s - p.generator_set
+        if unknown:
+            raise error(f"subset contains undeclared generators {sorted(unknown)}",
+                        code="UNDECLARED_GENERATOR")
+        if s == p.generator_set:
+            raise error("the directed-away subset must be proper", code="S_NOT_PROPER")
+    if cyclically_reduced:
+        bad = [i for i, r in enumerate(p.relators) if not is_cyclically_reduced(r)]
+        if bad:
+            raise error(f"relators {bad} are not cyclically reduced",
+                        code="NOT_CYCLICALLY_REDUCED")
+    return s
+
+
 def free_edge_generators(p: Presentation) -> frozenset[str]:
     """Generators that occur exactly once in total across all relators."""
     counts: dict[str, int] = {g: 0 for g in p.generators}
@@ -194,58 +220,6 @@ def free_edge_generators(p: Presentation) -> frozenset[str]:
         for letter in rel:
             counts[letter.gen] += 1
     return frozenset(g for g, c in counts.items() if c == 1)
-
-
-@dataclass(frozen=True)
-class RelativePresentationData:
-    """A relative presentation, flattened: a base presentation for the
-    coefficient group plus relator templates alternating new-generator
-    letters with words over the base generators."""
-
-    base_presentation: Presentation
-    new_generators: tuple[str, ...]
-    relator_templates: tuple[tuple[tuple[Letter, Word], ...], ...]
-
-    def __post_init__(self):
-        new = frozenset(self.new_generators)
-        base = self.base_presentation.generator_set
-        for name in self.new_generators:
-            if not _NAME_RE.match(name):
-                raise PresentationError(f"invalid generator name {name!r}", code="BAD_NAME")
-        for t_idx, template in enumerate(self.relator_templates):
-            for letter, coeff_word in template:
-                if letter.gen not in new:
-                    raise PresentationError(
-                        f"template {t_idx}: letter {letter} is not over the new generators",
-                        code="BAD_TEMPLATE")
-                for cl in coeff_word:
-                    if cl.gen not in base:
-                        raise PresentationError(
-                            f"template {t_idx}: coefficient word uses {cl.gen!r}, "
-                            "not a base generator", code="BAD_TEMPLATE")
-
-
-def inflate_relative(data: RelativePresentationData) -> Presentation:
-    """Turn a relative presentation into an ordinary one.
-
-    The base relators come first, then one relator per template with every
-    coefficient replaced by its chosen representative word.
-    """
-    base = data.base_presentation
-    collision = set(base.generators) & set(data.new_generators)
-    if collision:
-        raise PresentationError(
-            f"generator names {sorted(collision)} collide between base and new generators",
-            code="GENERATOR_COLLISION")
-    gens = base.generators + data.new_generators
-    rels = list(base.relators)
-    for template in data.relator_templates:
-        word: list[Letter] = []
-        for letter, coeff_word in template:
-            word.append(letter)
-            word.extend(coeff_word)
-        rels.append(tuple(word))
-    return Presentation(gens, tuple(rels))
 
 
 def _parse_letter_tokens(tokens: Sequence[tuple[str, int, int]]) -> Word:

@@ -10,12 +10,13 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Mapping, Optional
+from typing import Mapping
 
 from .certificates import CERTIFIED_DR_AWAY_FROM, UNKNOWN, Certificate
-from .core import Letter, Presentation, presentation_digest, word_stats
-from .smallcancel import SmallCancellationError, certify_s44
-from .weights import WeightError, search_weights
+from .core import Letter, Presentation, presentation_digest, subpresentation, word_stats
+from .pipeline import presentation_dr
+# search_weights is unused here; bench/test_harness.py checks its tracer rebinds it
+from .weights import search_weights
 from .whitehead import (NEGATIVE, POSITIVE, GraphView, build_whitehead, is_forest,
                         min_weight_reduced_cycle)
 
@@ -400,34 +401,6 @@ def _fresh_vertex(lot: LOT) -> str:
     return f"y{k}"
 
 
-def _presentation_dr_empty(p: Presentation) -> Optional[dict]:
-    """Try to certify that a presentation is diagrammatically reducible
-    (directed away from the empty set): forest test, then the
-    small-cancellation certificate, then the weight search."""
-    if not p.relators:
-        return {"method": "no_relators",
-                "detail": "no 2-cells, reducibility is vacuous"}
-    graph = build_whitehead(p)
-    if all(word_stats(r).total_exponent_sum == 0 for r in p.relators):
-        for mode in (POSITIVE, NEGATIVE):
-            if is_forest(GraphView(graph, mode)).forest:
-                return {"method": "forest", "side": mode}
-    try:
-        cert = certify_s44(p, frozenset())
-        if cert.positive:
-            return {"method": "s44", "case": cert.evidence.get("case")}
-    except SmallCancellationError:
-        pass
-    try:
-        assignment = search_weights(p, frozenset())
-    except WeightError:
-        assignment = None
-    if assignment is not None:
-        return {"method": "weight",
-                "weights": {str(k): str(v) for k, v in sorted(assignment.weights.items())}}
-    return None
-
-
 def certify_lot(lot: LOT, t: SubLot) -> Certificate:
     """Collapse-transfer certificate: collapse the maximal proper sub-LOT to
     a vertex y, certify the collapsed LOT directed away from {y} (forest
@@ -493,8 +466,8 @@ def certify_lot(lot: LOT, t: SubLot) -> Certificate:
         return failure("collapsed LOT fails both the forest test and the girth bound",
                        **evidence)
 
-    sub_presentation = lot_presentation(_sublot_as_lot(t))
-    dr_sub = _presentation_dr_empty(sub_presentation)
+    # the sub-LOT's own presentation is the one its vertex set carries
+    dr_sub = presentation_dr(subpresentation(p, t.vertex_subset))
     certificate = Certificate(digest, s, CERTIFIED_DR_AWAY_FROM, "lot_collapse",
                               evidence=evidence)
     certificate.notes = ("transfer: collapsing the sub-LOT to a single vertex induces a "
@@ -509,9 +482,3 @@ def certify_lot(lot: LOT, t: SubLot) -> Certificate:
         })
     return certificate
 
-
-def _sublot_as_lot(t: SubLot) -> LOT:
-    lot = t.parent
-    vertices = tuple(v for v in lot.vertices if v in t.vertex_subset)
-    edges = tuple(lot.edges[i] for i in sorted(t.edge_indices))
-    return LOT(vertices, edges)

@@ -19,7 +19,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .certificates import CERTIFIED_DR_AWAY_FROM, UNKNOWN, Certificate
-from .core import (Presentation, Word, inverse_word, is_cyclically_reduced,
+from .core import (Presentation, Word, check_preconditions, inverse_word,
                    presentation_digest, rotate_word)
 from .weights import WeightAssignment, verify_weight_test
 from .whitehead import build_whitehead, shortest_reduced_cycle_in_range
@@ -47,17 +47,10 @@ class SymmetrizedRelator:
         return (self.source_index, self.inverted, self.rotation)
 
 
-def _require_cyclically_reduced(p: Presentation) -> None:
-    bad = [i for i, r in enumerate(p.relators) if not is_cyclically_reduced(r)]
-    if bad:
-        raise SmallCancellationError(f"relators {bad} are not cyclically reduced",
-                                     code="NOT_CYCLICALLY_REDUCED")
-
-
 def symmetrized_closure(p: Presentation) -> tuple[SymmetrizedRelator, ...]:
     """All rotations of all relators and their inverses, with provenance;
     2|r| entries per relator."""
-    _require_cyclically_reduced(p)
+    check_preconditions(p, error=SmallCancellationError)
     out = []
     for idx, rel in enumerate(p.relators):
         for inverted in (False, True):
@@ -79,10 +72,12 @@ def _common_prefix_length(u: Word, v: Word) -> int:
 @dataclass(frozen=True)
 class PieceTable:
     """max_piece[provenance] = longest common prefix of that occurrence with
-    any occurrence of different provenance."""
+    any occurrence of different provenance, over the symmetrized closure it
+    was built from."""
 
     lengths: dict[tuple[int, bool, int], int]
     word_lengths: dict[int, int]  # relator index -> |r|
+    closure: tuple[SymmetrizedRelator, ...]
 
     def max_piece_length(self, element: SymmetrizedRelator, start: int) -> int:
         n = self.word_lengths[element.source_index]
@@ -101,7 +96,7 @@ def piece_table(p: Presentation) -> PieceTable:
                 lengths[e.provenance] = lcp
             if lcp > lengths[f.provenance]:
                 lengths[f.provenance] = lcp
-    return PieceTable(lengths, {i: len(r) for i, r in enumerate(p.relators)})
+    return PieceTable(lengths, {i: len(r) for i, r in enumerate(p.relators)}, closure)
 
 
 def min_piece_decomposition(element: SymmetrizedRelator,
@@ -147,21 +142,23 @@ class SmallCancellationReport:
         return self.c_holds and self.t_holds
 
 
+def _piece_products(table: PieceTable):
+    """(provenance, piece count, cuts) for each closure element, in closure
+    order, that is a product of pieces."""
+    for element in table.closure:
+        count, cuts = min_piece_decomposition(element, table)
+        if count is not None:
+            yield element.provenance, count, cuts
+
+
 def check_small_cancellation(p: Presentation, p_val: int, q_val: int) -> SmallCancellationReport:
     """C(p): no symmetrized occurrence is a product of fewer than p pieces.
     T(q): no reduced star-graph cycle of length L with 3 <= L < q."""
     if p_val < 2 or q_val < 3:
         raise SmallCancellationError("need p >= 2 and q >= 3", code="BAD_PARAMETERS")
-    _require_cyclically_reduced(p)
     table = piece_table(p)
-    c_witness = None
-    for element in symmetrized_closure(p):
-        count, cuts = min_piece_decomposition(element, table)
-        if count is not None and count < p_val:
-            c_witness = (element.provenance, count, cuts)
-            break
-    graph = build_whitehead(p)
-    t_witness = shortest_reduced_cycle_in_range(graph, 3, q_val)
+    c_witness = next((w for w in _piece_products(table) if w[1] < p_val), None)
+    t_witness = shortest_reduced_cycle_in_range(build_whitehead(p), 3, q_val)
     return SmallCancellationReport(p_val, q_val, c_witness is None, t_witness is None,
                                    c_witness, t_witness)
 
@@ -185,33 +182,30 @@ def certify_s44(p: Presentation, subset) -> Certificate:
     1/2 or 2/3 depending on the case) are built and re-verified with the
     exact weight-test checker; the verified weight certificate is embedded.
     """
-    s = frozenset(subset)
-    unknown = s - p.generator_set
-    if unknown:
-        raise SmallCancellationError(f"subset contains undeclared generators {sorted(unknown)}",
-                                     code="S_NOT_PROPER")
-    if s == p.generator_set:
-        raise SmallCancellationError("subset must be proper", code="S_NOT_PROPER")
-    _require_cyclically_reduced(p)
-
+    s = check_preconditions(p, subset, SmallCancellationError)
     digest = presentation_digest(p)
-    report44 = check_small_cancellation(p, 4, 4)
-    case = None
-    if report44.holds:
+    # one pass decides C(4) and C(6): fewer than 4 pieces is also fewer than 6
+    table = piece_table(p)
+    c4_witness, c6_holds = None, True
+    for witness in _piece_products(table):
+        if witness[1] < 6:
+            c6_holds = False
+        if witness[1] < 4:
+            c4_witness = witness
+            break
+    graph = build_whitehead(p)
+    t4_witness = shortest_reduced_cycle_in_range(graph, 3, 4)
+    if c4_witness is None and t4_witness is None:
         case = "c4t4"
-        report = report44
+    elif c6_holds:
+        case = "c6t3"  # T(3) is vacuous: no length L has 3 <= L < 3
     else:
-        report63 = check_small_cancellation(p, 6, 3)
-        if report63.holds:
-            case = "c6t3"
-            report = report63
-    if case is None:
         return Certificate(
             digest, tuple(sorted(s)), UNKNOWN, "s44",
             evidence={
                 "failed_hypothesis": "small cancellation: neither C(4),T(4) nor C(6),T(3)",
-                "c4_witness": _json_c_witness(report44.c_witness),
-                "t4_witness": list(report44.t_witness) if report44.t_witness else None,
+                "c4_witness": _json_c_witness(c4_witness),
+                "t4_witness": list(t4_witness) if t4_witness else None,
             },
             notes=(T_Q_CONVENTION,))
 
@@ -226,7 +220,6 @@ def certify_s44(p: Presentation, subset) -> Certificate:
             },
             notes=(T_Q_CONVENTION,))
 
-    graph = build_whitehead(p)
     by_endpoints: dict[frozenset, list[int]] = {}
     for e in graph.edges:
         by_endpoints.setdefault(frozenset((e.a, e.b)), []).append(e.id)

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Optional
 
-from .core import Presentation, is_cyclically_reduced
+from .core import Presentation, check_preconditions
 from .whitehead import WhiteheadGraph, build_whitehead, min_weight_reduced_cycle
 
 
@@ -123,28 +123,12 @@ def _json_witness(w):
     return str(w)
 
 
-def _check_preconditions(p: Presentation, subset) -> frozenset[str]:
-    s = frozenset(subset)
-    unknown = s - p.generator_set
-    if unknown:
-        raise WeightError(f"subset contains undeclared generators {sorted(unknown)}",
-                          code="S_NOT_PROPER")
-    if s == p.generator_set:
-        raise WeightError("subset must be a proper subset of the generators",
-                          code="S_NOT_PROPER")
-    bad = [i for i, r in enumerate(p.relators) if not is_cyclically_reduced(r)]
-    if bad:
-        raise WeightError(f"relators {bad} are not cyclically reduced",
-                          code="NOT_CYCLICALLY_REDUCED")
-    return s
-
-
 def verify_weight_test(p: Presentation, subset, assignment: WeightAssignment,
                        graph: WhiteheadGraph | None = None) -> WeightCertificate:
     """Check the four weight-test conditions exactly; every condition is
     evaluated even after an earlier one fails, so the certificate carries a
     complete picture."""
-    s = _check_preconditions(p, subset)
+    s = check_preconditions(p, subset, WeightError)
     if graph is None:
         graph = build_whitehead(p)
     assignment.check_against(graph)
@@ -188,7 +172,7 @@ def search_weights(p: Presentation, subset, *,
     Returns None when the linear program is infeasible.  None does not
     refute anything: the weight test is sufficient, not necessary.
     """
-    s = _check_preconditions(p, subset)
+    s = check_preconditions(p, subset, WeightError)
     graph = build_whitehead(p)
     n = len(graph.edges)
     constraints: list[tuple[dict[int, Fraction], str, Fraction]] = []

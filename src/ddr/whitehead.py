@@ -81,9 +81,6 @@ class WhiteheadGraph:
     def dart_count(self) -> int:
         return 2 * len(self.edges)
 
-    def dart_edge(self, dart: int) -> CornerEdge:
-        return self.edges[dart // 2]
-
     def tail(self, dart: int) -> WVertex:
         e = self.edges[dart // 2]
         return e.a if dart % 2 == 0 else e.b

@@ -15,7 +15,7 @@ from oracles import (brute_min_pieces, brute_min_reduced_cycle,
 from ddr.cayley import (COLLAPSED, CollapseStep, build_cayley_complex,
                         coset_enumeration, directed_collapse, replay_collapse)
 from ddr.certificates import Certificate
-from ddr.cli import CheckConfig, run_check
+from ddr.pipeline import CheckConfig, run_check
 from ddr.core import (Presentation, free_edge_generators, is_cyclically_reduced,
                       parse_presentation, subpresentation, word_stats,
                       word_support)

@@ -3,12 +3,10 @@ from itertools import combinations
 
 import pytest
 
-from conftest import FIXTURES
 from ddr.core import Letter, parse_presentation
 from ddr.cayley import (COLLAPSED, STUCK, CayleyError, GroupTable,
                         build_cayley_complex, coset_enumeration,
-                        decide_finite, directed_collapse, parse_subcomplex,
-                        refute_with_subcomplex, replay_collapse)
+                        decide_finite, directed_collapse, replay_collapse)
 
 
 @pytest.fixture(scope="session")
@@ -157,31 +155,14 @@ class TestDecide:
 
 
 class TestSubcomplex:
-    def test_fx2_fixture_refutes(self, fx2):
-        cells = parse_subcomplex((FIXTURES / "fx2_sub.subc").read_text(), fx2)
-        assert len(cells) == 2
-        log = refute_with_subcomplex(cells, fx2, {"a", "b"})
-        assert log is not None and log.verdict == STUCK
-        assert len(log.residual) == 2
-
     def test_carried_cells_never_refute(self, fx1):
         table = coset_enumeration(fx1, 3000)
         cx = build_cayley_complex(table, fx1)
         carried = tuple(c for c in cx.cells if c.relator_index in (0, 1))
-        assert refute_with_subcomplex(carried, fx1, {"a", "b"}) is None
+        assert directed_collapse(carried, fx1, {"a", "b"}).verdict == COLLAPSED
 
     def test_fx1_two_cells_away_a(self, fx1):
         table = coset_enumeration(fx1, 3000)
         cx = build_cayley_complex(table, fx1)
         two = tuple(c for c in cx.cells if c.relator_index in (0, 1))
-        log = refute_with_subcomplex(two, fx1, {"a"})
-        assert log is not None
-
-    def test_unclosed_boundary_rejected(self, fx2):
-        with pytest.raises(CayleyError) as exc:
-            parse_subcomplex("table 0 a 1\ncell 0 0", fx2)
-        assert exc.value.code == "X_INCONSISTENT"
-
-    def test_unknown_generator_rejected(self, fx2):
-        with pytest.raises(CayleyError):
-            parse_subcomplex("table 0 z 1\ncell 0 0", fx2)
+        assert directed_collapse(two, fx1, {"a"}).verdict == STUCK

@@ -1,10 +1,13 @@
 import json
+from collections import Counter
 
 import pytest
 
 from conftest import FIXTURES
+from ddr import lot, pipeline, smallcancel
 from ddr.certificates import Report
-from ddr.cli import CheckConfig, derive_consequences, main, run_check
+from ddr.cli import main
+from ddr.pipeline import CheckConfig, derive_consequences, run_check
 
 
 class TestRunCheck:
@@ -83,6 +86,35 @@ class TestConsequences:
         report = run_check(fx1, {"a"})
         with pytest.raises(ValueError):
             derive_consequences(report.certificates[0], fx1, frozenset({"a"}))
+
+
+def _count_calls(monkeypatch, counts: Counter, module, name: str) -> None:
+    original = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        counts[name] += 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+
+
+class TestWorkDoneOnce:
+    def test_s44_builds_one_piece_table_and_one_graph(self, monkeypatch, capsys):
+        counts = Counter()
+        _count_calls(monkeypatch, counts, pipeline, "certify_s44")
+        for name in ("piece_table", "build_whitehead"):
+            _count_calls(monkeypatch, counts, smallcancel, name)
+        assert main(["check", str(FIXTURES / "fx1.pres")]) == 1
+        assert counts == {"certify_s44": 1, "piece_table": 1, "build_whitehead": 1}
+        capsys.readouterr()
+
+    def test_lot_runs_the_reducibility_ladder_once(self, monkeypatch, capsys):
+        counts = Counter()
+        _count_calls(monkeypatch, counts, pipeline, "presentation_dr")
+        monkeypatch.setattr(lot, "presentation_dr", pipeline.presentation_dr)
+        assert main(["lot", str(FIXTURES / "fxl2.lot"), "--sublot", "T"]) == 0
+        assert counts == {"presentation_dr": 1}
+        assert "aspherical" in capsys.readouterr().out
 
 
 class TestCommandLine:

@@ -3,11 +3,13 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from ddr.core import (CYCLIC, FREE, Letter, Presentation, PresentationError,
-                      RelativePresentationData, free_edge_generators,
-                      inflate_relative, inverse_word, is_cyclically_reduced,
+                      free_edge_generators, inverse_word, is_cyclically_reduced,
                       normalize_word, parse_presentation, parse_word,
                       presentation_digest, serialize_presentation,
-                      subpresentation, word_stats, word_support)
+                      subpresentation, word_stats)
+from ddr.cayley import CayleyError, decide_finite
+from ddr.smallcancel import SmallCancellationError, certify_s44
+from ddr.weights import WeightAssignment, WeightError, search_weights, verify_weight_test
 
 W = parse_word
 
@@ -134,52 +136,32 @@ class TestFreeEdges:
         assert free_edge_generators(p) == {"a"}
 
 
-class TestInflate:
-    def test_trivial_base(self):
-        base = Presentation((), ())
-        data = RelativePresentationData(
-            base, ("a", "b"),
-            (((Letter("a", 1), ()), (Letter("b", 1), ()),
-              (Letter("a", -1), ()), (Letter("b", -1), ())),))
-        assert inflate_relative(data) == parse_presentation("gens: a b\nrel: a b a^-1 b^-1")
+# entry point -> (call, the error type its module raises)
+ENTRY_POINTS = {
+    "verify_weight_test": (lambda p, s: verify_weight_test(p, s, WeightAssignment({})),
+                           WeightError),
+    "search_weights": (search_weights, WeightError),
+    "certify_s44": (certify_s44, SmallCancellationError),
+    "decide_finite": (lambda p, s: decide_finite(p, s, 100), CayleyError),
+}
+# code -> (presentation, subset) that has exactly that fault
+FAULTS = {
+    "UNDECLARED_GENERATOR": ("gens: a b\nrel: a b a^-1 b^-1", {"a", "z"}),
+    "S_NOT_PROPER": ("gens: a b\nrel: a b a^-1 b^-1", {"a", "b"}),
+    "NOT_CYCLICALLY_REDUCED": ("gens: a b\nrel: b a b^-1", {"a"}),
+}
 
-    def test_free_base(self):
-        base = parse_presentation("gens: t")
-        data = RelativePresentationData(
-            base, ("a", "b"),
-            (((Letter("a", 1), W("t")), (Letter("b", 1), W("t")),
-              (Letter("a", -1), W("t")), (Letter("b", -1), W("t^-3"))),))
-        expected = parse_presentation("gens: t a b\nrel: a t b t a^-1 t b^-1 t^-3")
-        assert inflate_relative(data) == expected
 
-    def test_torsion_base(self):
-        base = parse_presentation("gens: x\nrel: x^2")
-        data = RelativePresentationData(
-            base, ("y",),
-            (((Letter("y", 1), W("x")), (Letter("y", -1), W("x"))),))
-        expected = parse_presentation("gens: x y\nrel: x x\nrel: y x y^-1 x")
-        assert inflate_relative(data) == expected
-
-    def test_collision(self):
-        base = parse_presentation("gens: a")
-        data = RelativePresentationData(base, ("b",), ())
-        bad = RelativePresentationData(base, ("b",), ())
-        assert inflate_relative(data).generators == ("a", "b")
-        with pytest.raises(PresentationError):
-            inflate_relative(RelativePresentationData(base, ("a",), ()))
-        del bad
-
-    def test_inflate_then_restrict_recovers_base(self):
-        base = parse_presentation("gens: x\nrel: x^2")
-        data = RelativePresentationData(
-            base, ("y",),
-            (((Letter("y", 1), W("x")), (Letter("y", -1), W("x"))),))
-        inflated = inflate_relative(data)
-        new = set(data.new_generators)
-        survivors = tuple(r for r in inflated.relators if not (word_support(r) & new))
-        recovered = Presentation(
-            tuple(g for g in inflated.generators if g not in new), survivors)
-        assert recovered == base
+# coset enumeration needs no reduced relators, so decide_finite accepts them
+@pytest.mark.parametrize("entry, code", [
+    (entry, code) for entry in ENTRY_POINTS for code in FAULTS
+    if (entry, code) != ("decide_finite", "NOT_CYCLICALLY_REDUCED")])
+def test_precondition_codes(entry, code):
+    call, error = ENTRY_POINTS[entry]
+    text, subset = FAULTS[code]
+    with pytest.raises(error) as exc:
+        call(parse_presentation(text), subset)
+    assert exc.value.code == code
 
 
 letter_st = st.builds(Letter, st.sampled_from(["a", "b", "c"]), st.sampled_from([1, -1]))
