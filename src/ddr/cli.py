@@ -89,6 +89,7 @@ def _cmd_lot(args) -> int:
                            "vertices": list(lot.vertices)},
         config={"sublot": args.sublot, "reorient": args.reorient},
     )
+    lattice = sub_lots(lot)
     if args.sublot:
         if args.sublot not in doc.sublots:
             print(f"error: no sublot named {args.sublot!r} in the file", file=sys.stderr)
@@ -96,11 +97,11 @@ def _cmd_lot(args) -> int:
         targets = {args.sublot: doc.sublots[args.sublot]}
     else:
         targets = {f"maximal-{i}": info.sublot
-                   for i, info in enumerate(sub_lots(lot)) if info.maximal_proper}
+                   for i, info in enumerate(lattice) if info.maximal_proper}
         if not targets:
             print("no proper sub-LOT exists")
     for name, t in sorted(targets.items()):
-        cert = certify_lot(lot, t)
+        cert = certify_lot(lot, t, lattice)
         if cert.positive:
             cert.consequences = derive_consequences(cert, lot_presentation(lot),
                                                     frozenset(t.vertex_subset))

@@ -18,7 +18,7 @@ from .pipeline import presentation_dr
 # search_weights is unused here; bench/test_harness.py checks its tracer rebinds it
 from .weights import search_weights
 from .whitehead import (NEGATIVE, POSITIVE, GraphView, build_whitehead, is_forest,
-                        min_weight_reduced_cycle)
+                        reduced_girth)
 
 _NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*\Z")
 
@@ -401,12 +401,13 @@ def _fresh_vertex(lot: LOT) -> str:
     return f"y{k}"
 
 
-def certify_lot(lot: LOT, t: SubLot) -> Certificate:
+def certify_lot(lot: LOT, t: SubLot, lattice: tuple[SubLotInfo, ...]) -> Certificate:
     """Collapse-transfer certificate: collapse the maximal proper sub-LOT to
     a vertex y, certify the collapsed LOT directed away from {y} (forest
     test on the positive or negative graph, or reduced girth >= 4), and
     transfer the conclusion back: the full presentation is directed away
-    from the sub-LOT's vertex set.
+    from the sub-LOT's vertex set.  `lattice` is `sub_lots(lot)`, computed
+    once by the caller for all the sub-LOTs it certifies.
 
     When the sub-LOT's own presentation is diagrammatically reducible the
     certificate also records that the full complex is aspherical.
@@ -425,12 +426,11 @@ def certify_lot(lot: LOT, t: SubLot) -> Certificate:
     _validate_sublot(lot, t.vertex_subset, t.edge_indices)
     if not lot_properties(lot).compressed:
         return failure("the LOT is not compressed")
-    infos = sub_lots(lot)
-    info = next((i for i in infos if i.sublot.edge_indices == t.edge_indices), None)
+    info = next((i for i in lattice if i.sublot.edge_indices == t.edge_indices), None)
     if info is None or not info.proper:
         return failure("the sub-LOT is not proper")
     if not info.maximal_proper:
-        enclosing = [sorted(i.sublot.vertex_subset) for i in infos
+        enclosing = [sorted(i.sublot.vertex_subset) for i in lattice
                      if i.maximal_proper and t.edge_indices < i.sublot.edge_indices]
         return failure("the sub-LOT is not maximal among proper sub-LOTs",
                        enclosing_maximal=enclosing)
@@ -448,8 +448,7 @@ def certify_lot(lot: LOT, t: SubLot) -> Certificate:
     graph = build_whitehead(pbar)
     forest_pos = is_forest(GraphView(graph, POSITIVE))
     forest_neg = is_forest(GraphView(graph, NEGATIVE))
-    girth_report = min_weight_reduced_cycle(graph)
-    girth = None if girth_report.weight is None else int(girth_report.weight)
+    girth = reduced_girth(graph)
     evidence = {
         "collapsed": serialize_lot(collapsed),
         "collapse_vertex": y,

@@ -128,14 +128,13 @@ def _weight_test(p: Presentation, s: frozenset[str], digest: str, config: CheckC
             failed = [r.condition for r in wcert.reports if not r.passed]
             return None, _attempt("weight", "unknown",
                                   f"supplied weights fail conditions {failed}")
-        assignment = search_weights(p, s)
+        wcert = search_weights(p, s)
     except WeightError as exc:
         return None, _attempt("weight", "skipped", f"{exc.code}: {exc}")
-    if assignment is None:
+    if wcert is None:
         return None, _attempt("weight", "unknown",
                               "linear program infeasible; the test is sufficient, "
                               "not necessary, so this refutes nothing")
-    wcert = verify_weight_test(p, s, assignment)
     cert = Certificate(digest, tuple(sorted(s)), CERTIFIED_DR_AWAY_FROM, "weight",
                        evidence={"weights": wcert.to_json_dict(), "source": "search"})
     return cert, _attempt("weight", "certified")
@@ -201,19 +200,19 @@ def presentation_dr(p: Presentation) -> dict | None:
             return {"method": "s44", "case": cert.evidence["case"]}
     except SmallCancellationError:
         pass
-    assignment = search_weights(p, frozenset())
-    if assignment is None:
+    wcert = search_weights(p, frozenset())
+    if wcert is None:
         return None
     return {"method": "weight",
-            "weights": {str(k): str(v) for k, v in sorted(assignment.weights.items())}}
+            "weights": {str(k): str(v) for k, v in sorted(wcert.assignment.weights.items())}}
 
 
 def derive_consequences(cert: Certificate, p: Presentation, s: frozenset[str]) -> list[dict]:
     """Group-theoretic consequences of a positive directed-reducibility
     certificate: second-homotopy generation, injectivity on fundamental
     groups, free subgroups, and asphericity.  The certificate's own
-    consequences come last; an asphericity it already carries stands in for
-    the derived one."""
+    consequences come last.  A LOT certificate has already run the ladder on
+    the carried sub-presentation, so it is not run again here."""
     if not cert.positive:
         raise ValueError("consequences are derived from positive certificates only")
     out: list[dict] = []
@@ -252,8 +251,7 @@ def derive_consequences(cert: Certificate, p: Presentation, s: frozenset[str]) -
             "kind": "free_subgroup",
             "statement": f"{subset_txt} generates a free subgroup with basis {subset_txt}",
         })
-    if all(c["kind"] != "aspherical" for c in cert.consequences) and \
-            presentation_dr(subpresentation(p, s)) is not None:
+    if cert.method != "lot_collapse" and presentation_dr(subpresentation(p, s)) is not None:
         out.append({
             "kind": "aspherical",
             "statement": "the presentation complex is aspherical (the carried "

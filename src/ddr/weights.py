@@ -166,11 +166,12 @@ def verify_weight_test(p: Presentation, subset, assignment: WeightAssignment,
 
 
 def search_weights(p: Presentation, subset, *,
-                   max_rounds: int = 10000) -> Optional[WeightAssignment]:
+                   max_rounds: int = 10000) -> Optional[WeightCertificate]:
     """Cutting-plane search for a satisfying assignment.
 
-    Returns None when the linear program is infeasible.  None does not
-    refute anything: the weight test is sufficient, not necessary.
+    Returns the verified certificate of the assignment found, or None when
+    the linear program is infeasible.  None does not refute anything: the
+    weight test is sufficient, not necessary.
     """
     s = check_preconditions(p, subset, WeightError)
     graph = build_whitehead(p)
@@ -197,11 +198,10 @@ def search_weights(p: Presentation, subset, *,
         weights = {e.id: point[e.id] for e in graph.edges}
         cycle = min_weight_reduced_cycle(graph, weights)
         if cycle.weight is None or cycle.weight >= 2:
-            assignment = WeightAssignment(weights)
-            cert = verify_weight_test(p, s, assignment, graph)
+            cert = verify_weight_test(p, s, WeightAssignment(weights), graph)
             if not cert.passed:
                 raise AssertionError("search produced an assignment the verifier rejects")
-            return assignment
+            return cert
         usage = Counter(d // 2 for d in cycle.cycle)
         key = tuple(sorted(usage.items()))
         if key in seen_cuts:

@@ -67,15 +67,6 @@ class WhiteheadGraph:
     vertices: tuple[WVertex, ...]
     edges: tuple[CornerEdge, ...]
 
-    @cached_property
-    def adjacency(self) -> Mapping[WVertex, tuple[int, ...]]:
-        adj: dict[WVertex, list[int]] = {v: [] for v in self.vertices}
-        for e in self.edges:
-            adj[e.a].append(e.id)
-            if e.b != e.a:
-                adj[e.b].append(e.id)
-        return {v: tuple(ids) for v, ids in adj.items()}
-
     # Darts: edge e yields dart 2e (a -> b) and dart 2e+1 (b -> a).
     @property
     def dart_count(self) -> int:

@@ -72,7 +72,7 @@ def test_c03_fx3_both_routes(fx3):
         cert = certify_s44(fx3, s)
         ok = ok and cert.verdict == "CERTIFIED_DR_AWAY_FROM"
         found = search_weights(fx3, s)
-        ok = ok and found is not None and verify_weight_test(fx3, s, found).passed
+        ok = ok and found is not None and verify_weight_test(fx3, s, found.assignment).passed
         details.append(f"{sorted(s)}: s44 {cert.verdict}, search feasible")
     report_line("C3 fx3-s44-and-weights", ok, "; ".join(details))
 
@@ -127,7 +127,7 @@ def test_c06_fxl2_chain(fxl2_doc):
                 ("y", "u1", "u4"), ("y", "u4", "u3")]
     graph = build_whitehead(lot_presentation(bar))
     forest = is_forest(GraphView(graph, POSITIVE)).forest
-    cert = certify_lot(lot, t)
+    cert = certify_lot(lot, t, infos)
     aspherical = any(c["kind"] == "aspherical" for c in cert.consequences)
     sub_w_minus = is_forest(GraphView(
         build_whitehead(subpresentation(lot_presentation(lot), t.vertex_subset)),

@@ -4,7 +4,7 @@ from collections import Counter
 import pytest
 
 from conftest import FIXTURES
-from ddr import lot, pipeline, smallcancel
+from ddr import cli, lot, pipeline, smallcancel, weights
 from ddr.certificates import Report
 from ddr.cli import main
 from ddr.pipeline import CheckConfig, derive_consequences, run_check
@@ -88,14 +88,17 @@ class TestConsequences:
             derive_consequences(report.certificates[0], fx1, frozenset({"a"}))
 
 
-def _count_calls(monkeypatch, counts: Counter, module, name: str) -> None:
+def _count_calls(monkeypatch, counts: Counter, module, name: str, *also) -> None:
+    """Count calls of module.name, also through the modules in `also` that
+    import it by name."""
     original = getattr(module, name)
 
     def counted(*args, **kwargs):
         counts[name] += 1
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(module, name, counted)
+    for m in (module, *also):
+        monkeypatch.setattr(m, name, counted)
 
 
 class TestWorkDoneOnce:
@@ -115,6 +118,30 @@ class TestWorkDoneOnce:
         assert main(["lot", str(FIXTURES / "fxl2.lot"), "--sublot", "T"]) == 0
         assert counts == {"presentation_dr": 1}
         assert "aspherical" in capsys.readouterr().out
+
+    def test_lot_enumerates_the_sub_lot_lattice_once(self, monkeypatch, capsys):
+        counts = Counter()
+        _count_calls(monkeypatch, counts, lot, "sub_lots", cli)
+        assert main(["lot", str(FIXTURES / "fxl2.lot"), "--reorient"]) == 0
+        assert counts == {"sub_lots": 1}
+        capsys.readouterr()
+
+    def test_weight_search_is_verified_once(self, monkeypatch, capsys):
+        counts = Counter()
+        _count_calls(monkeypatch, counts, weights, "build_whitehead", pipeline, smallcancel)
+        _count_calls(monkeypatch, counts, weights, "verify_weight_test", pipeline)
+        assert main(["check", str(FIXTURES / "fx3.pres"), "--away-from", "x1,x2",
+                     "--tests", "weight"]) == 0
+        assert counts == {"build_whitehead": 1, "verify_weight_test": 1}
+        capsys.readouterr()
+
+    def test_lot_ladder_miss_is_not_rerun(self, monkeypatch, capsys):
+        # fxl3's certificate is positive but the ladder misses on T's presentation
+        counts = Counter()
+        _count_calls(monkeypatch, counts, pipeline, "presentation_dr", lot)
+        assert main(["lot", str(FIXTURES / "fxl3.lot"), "--sublot", "T"]) == 0
+        assert counts == {"presentation_dr": 1}
+        assert "aspherical" not in capsys.readouterr().out
 
 
 class TestCommandLine:

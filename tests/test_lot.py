@@ -266,7 +266,7 @@ class TestReorient:
 class TestCertify:
     def test_fxl2_full_chain(self, fxl2_doc):
         lot, t = fxl2_doc.lot, fxl2_doc.sublots["T"]
-        cert = certify_lot(lot, t)
+        cert = certify_lot(lot, t, sub_lots(lot))
         assert cert.verdict == "CERTIFIED_DR_AWAY_FROM"
         assert cert.subset == ("x1", "x2", "x3", "x4", "x5")
         assert cert.evidence["test"] == "forest"
@@ -276,7 +276,7 @@ class TestCertify:
 
     def test_fig3_certifies_with_girth_at_least_four(self, fig3_doc):
         lot, t = fig3_doc.lot, fig3_doc.sublots["T"]
-        cert = certify_lot(lot, t)
+        cert = certify_lot(lot, t, sub_lots(lot))
         assert cert.verdict == "CERTIFIED_DR_AWAY_FROM"
         assert cert.evidence["reduced_girth"] is None or \
             cert.evidence["reduced_girth"] >= 4
@@ -284,7 +284,7 @@ class TestCertify:
     def test_non_maximal_rejected_with_suggestion(self, fxl2_doc):
         lot = fxl2_doc.lot
         small = make_sublot(lot, {"x1", "x2", "x3"})
-        cert = certify_lot(lot, small)
+        cert = certify_lot(lot, small, sub_lots(lot))
         assert cert.verdict == "UNKNOWN"
         assert "maximal" in cert.evidence["failed_hypothesis"]
         assert ["x1", "x2", "x3", "x4", "x5"] in cert.evidence["enclosing_maximal"]
@@ -292,6 +292,6 @@ class TestCertify:
     def test_whole_lot_rejected(self, fxl2_doc):
         lot = fxl2_doc.lot
         whole = make_sublot(lot, set(lot.vertices))
-        cert = certify_lot(lot, whole)
+        cert = certify_lot(lot, whole, sub_lots(lot))
         assert cert.verdict == "UNKNOWN"
         assert "proper" in cert.evidence["failed_hypothesis"]

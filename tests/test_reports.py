@@ -55,6 +55,8 @@ CASES = {
     "lot-fxl1-reorient": (["lot", _f("fxl1.lot"), "--reorient"], 2),
     "lot-fxl2-reorient": (["lot", _f("fxl2.lot"), "--reorient"], 0),
     "lot-fxl2-sublot-T": (["lot", _f("fxl2.lot"), "--sublot", "T"], 0),
+    "lot-fxl3-reorient": (["lot", _f("fxl3.lot"), "--reorient"], 0),
+    "lot-fxl3-sublot-T": (["lot", _f("fxl3.lot"), "--sublot", "T"], 0),
     "diagram-fx2-ab": (["diagram", _f("fx2_disc.json"), "--pres", _f("fx2.pres"),
                         "--away-from", "a,b"], 1),
 }

@@ -83,12 +83,12 @@ class TestSearch:
     def test_fx4_feasible_and_verified(self, fx4):
         found = search_weights(fx4, frozenset())
         assert found is not None
-        assert verify_weight_test(fx4, frozenset(), found).passed
+        assert verify_weight_test(fx4, frozenset(), found.assignment).passed
 
     def test_fx3_feasible(self, fx3):
         found = search_weights(fx3, {"x1", "x2"})
         assert found is not None
-        assert verify_weight_test(fx3, {"x1", "x2"}, found).passed
+        assert verify_weight_test(fx3, {"x1", "x2"}, found.assignment).passed
 
     def test_torsion_infeasible(self):
         p = parse_presentation("gens: a\nrel: a a")
@@ -102,7 +102,7 @@ class TestSearch:
         p = parse_presentation("gens: a b\nrel: a a b b")
         found = search_weights(p, frozenset())
         assert found is not None
-        assert verify_weight_test(p, frozenset(), found).passed
+        assert verify_weight_test(p, frozenset(), found.assignment).passed
 
     def test_round_trip_on_fixture_matrix(self, fx1, fx2, fx3, fx4):
         cases = [(fx1, frozenset()), (fx1, {"a"}), (fx2, {"a", "b"}),
@@ -110,7 +110,7 @@ class TestSearch:
         for p, s in cases:
             found = search_weights(p, s)
             if found is not None:
-                assert verify_weight_test(p, s, found).passed
+                assert verify_weight_test(p, s, found.assignment).passed
 
     def test_slack_perturbation_keeps_passing(self, genus2):
         # the length-8 relator capped at 6 leaves slack 2 above the all-1/2
