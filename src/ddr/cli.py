@@ -104,7 +104,7 @@ def _cmd_lot(args) -> int:
         cert = certify_lot(lot, t, lattice)
         if cert.positive:
             cert.consequences = derive_consequences(cert, lot_presentation(lot),
-                                                    frozenset(t.vertex_subset))
+                                                    frozenset(t.vertex_subset), {})
         report.certificates.append(cert)
         subset = "{" + ", ".join(sorted(t.vertex_subset)) + "}"
         print(f"sublot {name} {subset}: {cert.verdict}"

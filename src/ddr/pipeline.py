@@ -207,12 +207,18 @@ def presentation_dr(p: Presentation) -> dict | None:
             "weights": {str(k): str(v) for k, v in sorted(wcert.assignment.weights.items())}}
 
 
-def derive_consequences(cert: Certificate, p: Presentation, s: frozenset[str]) -> list[dict]:
+def derive_consequences(cert: Certificate, p: Presentation, s: frozenset[str],
+                        carried: dict[frozenset[str], dict | None]) -> list[dict]:
     """Group-theoretic consequences of a positive directed-reducibility
     certificate: second-homotopy generation, injectivity on fundamental
     groups, free subgroups, and asphericity.  The certificate's own
-    consequences come last.  A LOT certificate has already run the ladder on
-    the carried sub-presentation, so it is not run again here."""
+    consequences come last.
+
+    `carried` is the caller's memo of the ladder on carried
+    sub-presentations, subset -> `presentation_dr` result, so several
+    certificates for one subset run the ladder once.  A LOT certificate has
+    already run the ladder on the carried sub-presentation, so it is not run
+    again here."""
     if not cert.positive:
         raise ValueError("consequences are derived from positive certificates only")
     out: list[dict] = []
@@ -251,12 +257,15 @@ def derive_consequences(cert: Certificate, p: Presentation, s: frozenset[str]) -
             "kind": "free_subgroup",
             "statement": f"{subset_txt} generates a free subgroup with basis {subset_txt}",
         })
-    if cert.method != "lot_collapse" and presentation_dr(subpresentation(p, s)) is not None:
-        out.append({
-            "kind": "aspherical",
-            "statement": "the presentation complex is aspherical (the carried "
-                         "sub-presentation is itself diagrammatically reducible)",
-        })
+    if cert.method != "lot_collapse":
+        if s not in carried:
+            carried[s] = presentation_dr(subpresentation(p, s))
+        if carried[s] is not None:
+            out.append({
+                "kind": "aspherical",
+                "statement": "the presentation complex is aspherical (the carried "
+                             "sub-presentation is itself diagrammatically reducible)",
+            })
     return out + cert.consequences
 
 
@@ -275,6 +284,7 @@ def run_check(p: Presentation, subset=frozenset(), config: CheckConfig | None = 
     if config.all_directions:
         return _run_all_directions(p, config, digest, report)
     s = check_preconditions(p, subset, cyclically_reduced=False)
+    carried: dict = {}
     for name in config.tests:
         if name not in TESTS:
             raise ValueError(f"unknown test {name!r}")
@@ -282,7 +292,7 @@ def run_check(p: Presentation, subset=frozenset(), config: CheckConfig | None = 
         report.attempts.append(attempt)
         if cert is not None:
             if cert.positive:
-                cert.consequences = derive_consequences(cert, p, s)
+                cert.consequences = derive_consequences(cert, p, s, carried)
             report.certificates.append(cert)
             if not config.run_all:
                 break
@@ -291,11 +301,12 @@ def run_check(p: Presentation, subset=frozenset(), config: CheckConfig | None = 
 
 def _run_all_directions(p: Presentation, config: CheckConfig, digest: str,
                         report: Report) -> Report:
+    carried: dict = {}
     if "onerel" in config.tests:
         cert, attempt = _one_relator_test(p, None, digest, config)
         report.attempts.append(attempt)
         if cert is not None:
-            cert.consequences = derive_consequences(cert, p, frozenset())
+            cert.consequences = derive_consequences(cert, p, frozenset(), carried)
             report.certificates.append(cert)
             if not config.run_all:
                 return report
@@ -314,7 +325,7 @@ def _run_all_directions(p: Presentation, config: CheckConfig, digest: str,
         report.attempts.append(_attempt("forest", "certified",
                                         "directed away from each single generator"))
         for cert, s in zip(forest_certs, singles):
-            cert.consequences = derive_consequences(cert, p, s)
+            cert.consequences = derive_consequences(cert, p, s, carried)
             report.certificates.append(cert)
         return report
     if not report.certificates:

@@ -13,10 +13,18 @@ static constraints
   * per relator, the corner sum is at most length - 2.
 
 The reduced-cycle condition (every reduced cycle weighs >= 2) has one
-inequality per cycle, exponentially many, so it is enforced lazily: solve,
-ask the minimum-reduced-cycle search for a violated cycle, add that cycle's
-inequality, repeat.  Only dart-simple cycles are ever produced, there are
-finitely many, and a repeat cut is an internal error, so the loop terminates.
+inequality per cycle, exponentially many, so it is enforced lazily: ask the
+minimum-reduced-cycle search for a cycle the current point violates, add
+that cycle's inequality as a cut, repeat.  Only dart-simple cycles are ever
+produced, there are finitely many, and a repeat cut is an internal error, so
+the loop terminates.
+
+One exact tableau (`Tableau`) serves the whole search.  It works in the
+shifted variables y = w - lower bound, so its all-slack start basis is
+feasible, and each cut costs a few pivots from the last basis instead of a
+solve from nothing.  When the program turns out infeasible, the tableau's
+Farkas multipliers are checked exactly against the original rows before the
+search reports it.
 """
 
 from __future__ import annotations
@@ -28,6 +36,10 @@ from typing import Mapping, Optional
 
 from .core import Presentation, check_preconditions
 from .whitehead import WhiteheadGraph, build_whitehead, min_weight_reduced_cycle
+
+
+# a linear row: coefficients by variable, "<=" or ">=", right-hand side
+Constraint = tuple[Mapping[int, Fraction], str, Fraction]
 
 
 class WeightError(ValueError):
@@ -175,27 +187,26 @@ def search_weights(p: Presentation, subset, *,
     """
     s = check_preconditions(p, subset, WeightError)
     graph = build_whitehead(p)
-    n = len(graph.edges)
-    constraints: list[tuple[dict[int, Fraction], str, Fraction]] = []
-    for e in graph.edges:
-        in_s = (e.a.gen in s) + (e.b.gen in s)
-        if in_s == 2:
-            constraints.append(({e.id: Fraction(1)}, ">=", Fraction(1)))
-        elif in_s == 1:
-            constraints.append(({e.id: Fraction(1)}, ">=", Fraction(1, 2)))
-    for r_idx, rel in enumerate(p.relators):
-        coeffs: dict[int, Fraction] = {}
-        for e in graph.edges:
-            if e.relator_index == r_idx:
-                coeffs[e.id] = coeffs.get(e.id, Fraction(0)) + 1
-        constraints.append((coeffs, "<=", Fraction(len(rel) - 2)))
+    # per edge its lower bound 0, 1/2 or 1; the tableau solves for y = w - lower
+    lower = {e.id: Fraction((e.a.gen in s) + (e.b.gen in s), 2) for e in graph.edges}
+    tableau = Tableau(len(graph.edges))
+    constraints: list[Constraint] = []  # the rows added so far, in w
 
+    def add(coeffs: dict[int, Fraction], sense: str, rhs: Fraction) -> bool:
+        constraints.append((coeffs, sense, rhs))
+        return tableau.add_row(coeffs, sense,
+                               rhs - sum(c * lower[v] for v, c in coeffs.items()))
+
+    feasible = all(add({e.id: Fraction(1) for e in graph.edges if e.relator_index == r_idx},
+                       "<=", Fraction(len(rel) - 2))
+                   for r_idx, rel in enumerate(p.relators))
     seen_cuts: set[tuple[tuple[int, int], ...]] = set()
     for _ in range(max_rounds):
-        point = solve_feasibility(n, constraints)
-        if point is None:
+        if not feasible:
+            _check_infeasibility_proof(lower, constraints, tableau)
             return None
-        weights = {e.id: point[e.id] for e in graph.edges}
+        point = tableau.point()
+        weights = {e.id: lower[e.id] + point[e.id] for e in graph.edges}
         cycle = min_weight_reduced_cycle(graph, weights)
         if cycle.weight is None or cycle.weight >= 2:
             cert = verify_weight_test(p, s, WeightAssignment(weights), graph)
@@ -207,101 +218,168 @@ def search_weights(p: Presentation, subset, *,
         if key in seen_cuts:
             raise AssertionError(f"separation produced a repeated cut {key}")
         seen_cuts.add(key)
-        constraints.append(({eid: Fraction(mult) for eid, mult in usage.items()},
-                            ">=", Fraction(2)))
+        feasible = add({eid: Fraction(mult) for eid, mult in usage.items()}, ">=", Fraction(2))
     raise RuntimeError("cutting-plane loop exceeded max_rounds")
 
 
-# A small exact simplex, phase one only: we need any feasible point.
-def solve_feasibility(num_vars: int,
-                      constraints: list[tuple[dict[int, Fraction], str, Fraction]],
-                      ) -> Optional[list[Fraction]]:
-    """Feasibility of {x >= 0, constraints} via a phase-1 simplex with
-    Bland's rule (exact Fractions, guaranteed termination).  Returns one
-    feasible point or None."""
-    rows = []
-    for coeffs, sense, rhs in constraints:
+def _check_infeasibility_proof(lower: Mapping[int, Fraction], constraints: list[Constraint],
+                               tableau: "Tableau") -> None:
+    """Raise AssertionError unless the tableau's Farkas multipliers prove the
+    original rows in w, lower bounds included, have no nonnegative solution."""
+    row_mults, bound_mults = tableau.farkas()
+    bounds = [({v: Fraction(1)}, ">=", lower[v]) for v in range(len(bound_mults))]
+    if not farkas_refutes(constraints + bounds, row_mults + bound_mults):
+        raise AssertionError("search found the program infeasible without a valid "
+                             "Farkas certificate")
+
+
+def farkas_refutes(constraints: list[Constraint], multipliers: list[Fraction]) -> bool:
+    """Whether the multipliers prove {x >= 0, constraints} infeasible.
+
+    Each row is first written as a >= row (a <= row is negated); a
+    nonnegative combination of them whose every coefficient is <= 0 but
+    whose right-hand side is > 0 has no nonnegative solution.
+    """
+    if len(multipliers) != len(constraints) or any(m < 0 for m in multipliers):
+        return False
+    combined: dict[int, Fraction] = {}
+    total = Fraction(0)
+    for (coeffs, sense, rhs), m in zip(constraints, multipliers):
+        sign = -1 if sense == "<=" else 1
+        for v, c in coeffs.items():
+            combined[v] = combined.get(v, Fraction(0)) + sign * m * c
+        total += sign * m * rhs
+    return all(c <= 0 for c in combined.values()) and total > 0
+
+
+# Column that labels a row's artificial variable while it is basic; it is the
+# first column in Bland's order, so it leaves the basis as soon as it reaches 0.
+_ARTIFICIAL = -1
+
+
+class Tableau:
+    """An exact simplex tableau over {x >= 0} that takes its rows one at a
+    time and keeps a feasible basis between them.
+
+    Each row is stored as >= with a surplus column: a.x - s = b.  Tableau row
+    i reads x[basis[i]] + sum(rows[i][j] * x[j]) = rhs[i] over the nonbasic
+    columns j, which sit at 0, so the current point is x[basis[i]] = rhs[i].
+    Columns 0..num_vars-1 are the variables, later columns the surpluses in
+    the order their rows came.
+
+    A new row that the current point satisfies enters with its surplus
+    basic, without a pivot.  A violated row enters with one artificial
+    variable, and a phase 1 with Bland's rule drives that artificial to 0
+    from the current basis.  Every pivot keeps all rows feasible, and Bland's
+    rule (smallest column first, on entering and on ties in leaving)
+    guarantees termination.  If the artificial cannot reach 0, the system is
+    infeasible, and the artificial row carries a Farkas proof (`farkas`);
+    the tableau takes no further rows then.
+    """
+
+    def __init__(self, num_vars: int):
+        self.num_vars = num_vars
+        self.rows: list[dict[int, Fraction]] = []
+        self.rhs: list[Fraction] = []
+        self.basis: list[int] = []
+        self.where: dict[int, int] = {}  # basic column -> its row
+        self.surplus: list[int] = []  # per added row, its surplus column
+        self.feasible = True
+
+    def add_row(self, coeffs: Mapping[int, Fraction], sense: str, rhs: Fraction) -> bool:
+        """Add the row `coeffs . x (sense) rhs` and restore a feasible basis;
+        return whether the rows so far have a common nonnegative solution."""
         if sense not in ("<=", ">="):
             raise ValueError(f"unknown constraint sense {sense!r}")
-        coeffs = {v: Fraction(c) for v, c in coeffs.items()}
-        rhs = Fraction(rhs)
-        if rhs < 0:
-            coeffs = {v: -c for v, c in coeffs.items()}
-            rhs = -rhs
-            sense = "<=" if sense == ">=" else ">="
-        rows.append((coeffs, sense, rhs))
-
-    ncols = num_vars
-    slack_col = []
-    art_col: list[Optional[int]] = []
-    for _, sense, _ in rows:
-        slack_col.append(ncols)
-        ncols += 1
-    for _, sense, _ in rows:
-        art_col.append(ncols if sense == ">=" else None)
-        if sense == ">=":
-            ncols += 1
-
-    table: list[list[Fraction]] = []
-    rhs_col: list[Fraction] = []
-    basis: list[int] = []
-    for i, (coeffs, sense, rhs) in enumerate(rows):
-        row = [Fraction(0)] * ncols
+        if not self.feasible:
+            raise ValueError("the tableau is already infeasible")
+        sign = -1 if sense == "<=" else 1
+        # a.x written over the nonbasic columns: value + sum(d[j] * x[j])
+        value = Fraction(0)
+        d: dict[int, Fraction] = {}
         for v, c in coeffs.items():
-            row[v] += c
-        row[slack_col[i]] = Fraction(1) if sense == "<=" else Fraction(-1)
-        if art_col[i] is not None:
-            row[art_col[i]] = Fraction(1)
-            basis.append(art_col[i])
-        else:
-            basis.append(slack_col[i])
-        table.append(row)
-        rhs_col.append(rhs)
+            c = sign * Fraction(c)
+            i = self.where.get(v)
+            if i is None:
+                d[v] = d.get(v, Fraction(0)) + c
+                continue
+            value += c * self.rhs[i]
+            for j, t in self.rows[i].items():
+                d[j] = d.get(j, Fraction(0)) - c * t
+        b = sign * Fraction(rhs)
+        s = self.num_vars + len(self.surplus)
+        self.surplus.append(s)
+        d = {j: c for j, c in d.items() if c != 0}
+        if value >= b:
+            self._append({j: -c for j, c in d.items()}, value - b, s)
+            return True
+        # a.x - s + art = b, so art + d.x - s = b - value > 0
+        d[s] = Fraction(-1)
+        r = len(self.rows)
+        self._append(d, b - value, _ARTIFICIAL)
+        while True:
+            # minimizing art = rhs[r] - sum(rows[r][j] * x[j]): any column with a
+            # positive entry in its row may enter, the smallest first (Bland)
+            enter = min((j for j, c in self.rows[r].items() if c > 0), default=None)
+            if enter is None:
+                self.feasible = False
+                return False
+            leave = min((i for i, row in enumerate(self.rows) if row.get(enter, 0) > 0),
+                        key=lambda i: (self.rhs[i] / self.rows[i][enter], self.basis[i]))
+            self._pivot(leave, enter)
+            if leave == r:
+                for row in self.rows:
+                    row.pop(_ARTIFICIAL, None)
+                return True
 
-    # reduced costs for minimize(sum of artificials)
-    z = [Fraction(0)] * ncols
-    zval = Fraction(0)
-    artificials = {c for c in art_col if c is not None}
-    for c in artificials:
-        z[c] = Fraction(1)
-    for i, b in enumerate(basis):
-        if b in artificials:
-            for j in range(ncols):
-                z[j] -= table[i][j]
-            zval -= rhs_col[i]
+    def _append(self, row: dict[int, Fraction], rhs: Fraction, basic: int) -> None:
+        self.where[basic] = len(self.rows)
+        self.rows.append(row)
+        self.rhs.append(rhs)
+        self.basis.append(basic)
 
-    while True:
-        enter = next((j for j in range(ncols) if z[j] < 0), None)
-        if enter is None:
-            break
-        leave = None
-        best = None
-        for i in range(len(table)):
-            a = table[i][enter]
-            if a > 0:
-                ratio = rhs_col[i] / a
-                if best is None or ratio < best or (ratio == best and basis[i] < basis[leave]):
-                    best, leave = ratio, i
-        if leave is None:
-            raise ArithmeticError("phase-1 objective unbounded; constraints malformed")
-        piv = table[leave][enter]
-        table[leave] = [x / piv for x in table[leave]]
-        rhs_col[leave] /= piv
-        for i in range(len(table)):
-            if i != leave and table[i][enter] != 0:
-                f = table[i][enter]
-                table[i] = [x - f * y for x, y in zip(table[i], table[leave])]
-                rhs_col[i] -= f * rhs_col[leave]
-        if z[enter] != 0:
-            f = z[enter]
-            z = [x - f * y for x, y in zip(z, table[leave])]
-            zval -= f * rhs_col[leave]
-        basis[leave] = enter
+    def _pivot(self, leave: int, enter: int) -> None:
+        row = self.rows[leave]
+        piv = row.pop(enter)
+        old = self.basis[leave]
+        row = {j: c / piv for j, c in row.items()}
+        row[old] = 1 / piv
+        rhs = self.rhs[leave] / piv
+        self.rows[leave], self.rhs[leave] = row, rhs
+        for i, other in enumerate(self.rows):
+            f = other.pop(enter, None)
+            if f is None:
+                continue
+            for j, c in row.items():
+                x = other.get(j, 0) - f * c
+                if x:
+                    other[j] = x
+                else:
+                    other.pop(j, None)
+            self.rhs[i] -= f * rhs
+        del self.where[old]
+        self.where[enter] = leave
+        self.basis[leave] = enter
 
-    if -zval > 0:
-        return None
-    point = [Fraction(0)] * num_vars
-    for i, b in enumerate(basis):
-        if b < num_vars:
-            point[b] = rhs_col[i]
-    return point
+    def point(self) -> list[Fraction]:
+        """The current basic feasible point, one value per variable."""
+        return [self.rhs[self.where[j]] if j in self.where else Fraction(0)
+                for j in range(self.num_vars)]
+
+    def farkas(self) -> tuple[list[Fraction], list[Fraction]]:
+        """For an infeasible tableau, the phase-1 reduced costs of the last
+        (artificial) row: one multiplier per added row, on its >= form, and
+        one per variable, on its bound x >= 0."""
+        art_row = self.rows[-1]
+        return ([-art_row.get(s, Fraction(0)) for s in self.surplus],
+                [-art_row.get(j, Fraction(0)) for j in range(self.num_vars)])
+
+
+def solve_feasibility(num_vars: int, constraints: list[Constraint],
+                      ) -> Optional[list[Fraction]]:
+    """Feasibility of {x >= 0, constraints}, the rows added one at a time to
+    one `Tableau`.  Returns one feasible point or None."""
+    tableau = Tableau(num_vars)
+    if all(tableau.add_row(*row) for row in constraints):
+        return tableau.point()
+    return None

@@ -85,7 +85,7 @@ class TestConsequences:
     def test_requires_positive(self, fx1):
         report = run_check(fx1, {"a"})
         with pytest.raises(ValueError):
-            derive_consequences(report.certificates[0], fx1, frozenset({"a"}))
+            derive_consequences(report.certificates[0], fx1, frozenset({"a"}), {})
 
 
 def _count_calls(monkeypatch, counts: Counter, module, name: str, *also) -> None:
@@ -142,6 +142,17 @@ class TestWorkDoneOnce:
         assert main(["lot", str(FIXTURES / "fxl3.lot"), "--sublot", "T"]) == 0
         assert counts == {"presentation_dr": 1}
         assert "aspherical" not in capsys.readouterr().out
+
+    @pytest.mark.parametrize("argv", [["fx4.pres", "--away-from", "a", "--run-all"],
+                                      ["genus2.pres", "--run-all"]])
+    def test_check_runs_the_ladder_once_per_subset(self, monkeypatch, capsys, argv):
+        # several positive certificates for one subset share one ladder run
+        counts = Counter()
+        _count_calls(monkeypatch, counts, pipeline, "presentation_dr")
+        assert main(["check", str(FIXTURES / argv[0]), *argv[1:],
+                     "--coset-limit", "600"]) == 0
+        assert counts == {"presentation_dr": 1}
+        assert "aspherical" in capsys.readouterr().out
 
 
 class TestCommandLine:

@@ -1,11 +1,13 @@
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
+from ddr import weights
 from ddr.core import parse_presentation
-from ddr.weights import (WeightAssignment, WeightError, search_weights,
-                         solve_feasibility, verify_weight_test)
+from ddr.weights import (Tableau, WeightAssignment, WeightError, farkas_refutes,
+                         search_weights, solve_feasibility, verify_weight_test)
 from ddr.whitehead import build_whitehead
 
 
@@ -112,6 +114,24 @@ class TestSearch:
             if found is not None:
                 assert verify_weight_test(p, s, found.assignment).passed
 
+    def test_fx3_search_keeps_one_tableau(self, fx3, monkeypatch):
+        # some twenty cuts, each a few pivots on one tableau, none a fresh solve
+        tableaus = []
+
+        class Counted(Tableau):
+            def __init__(self, num_vars):
+                super().__init__(num_vars)
+                tableaus.append(self)
+
+        def no_solve(*args):
+            raise AssertionError("search_weights called solve_feasibility")
+
+        monkeypatch.setattr(weights, "Tableau", Counted)
+        monkeypatch.setattr(weights, "solve_feasibility", no_solve)
+        found = search_weights(fx3, frozenset())
+        assert found is not None and len(tableaus) == 1
+        assert len(tableaus[0].rows) > len(fx3.relators) + 10  # cuts went in
+
     def test_slack_perturbation_keeps_passing(self, genus2):
         # the length-8 relator capped at 6 leaves slack 2 above the all-1/2
         # corner sum of 4, so pointwise bumps within slack must keep passing
@@ -182,3 +202,68 @@ class TestSimplex:
             for coeffs, sense, rhs in constraints:
                 lhs = sum(c * point[v] for v, c in coeffs.items())
                 assert lhs <= rhs if sense == "<=" else lhs >= rhs
+
+
+def _satisfies(point, constraints) -> bool:
+    return all(x >= 0 for x in point) and all(
+        (lhs <= rhs) if sense == "<=" else (lhs >= rhs)
+        for coeffs, sense, rhs in constraints
+        for lhs in [sum(c * point[v] for v, c in coeffs.items())])
+
+
+class TestTableau:
+    def test_rows_one_at_a_time_against_highs(self):
+        # seeded small integer systems: after every added row the tableau's
+        # answer must match HiGHS, a feasible point must satisfy every row
+        # exactly, and an infeasible answer must carry a valid Farkas proof
+        linprog = pytest.importorskip("scipy.optimize").linprog
+        rng = random.Random(7)
+        answers = Counter()
+        for _ in range(150):
+            nvars = rng.randint(1, 5)
+            tableau = Tableau(nvars)
+            constraints = []
+            for _ in range(rng.randint(1, 8)):
+                coeffs = {v: Fraction(rng.randint(-3, 3)) for v in range(nvars)
+                          if rng.random() < 0.7}
+                row = (coeffs, rng.choice(["<=", ">="]), Fraction(rng.randint(-4, 6)))
+                constraints.append(row)
+                feasible = tableau.add_row(*row)
+                a_ub = [[(1 if sense == "<=" else -1) * float(coeffs.get(v, 0))
+                         for v in range(nvars)] for coeffs, sense, _ in constraints]
+                b_ub = [(1 if sense == "<=" else -1) * float(rhs)
+                        for _, sense, rhs in constraints]
+                oracle = linprog([0] * nvars, A_ub=a_ub, b_ub=b_ub, method="highs")
+                assert oracle.status in (0, 2)
+                assert feasible == (oracle.status == 0)
+                answers[feasible] += 1
+                if not feasible:
+                    rows, bounds = tableau.farkas()
+                    assert farkas_refutes(
+                        constraints + [({v: Fraction(1)}, ">=", Fraction(0))
+                                       for v in range(nvars)], rows + bounds)
+                    with pytest.raises(ValueError):
+                        tableau.add_row(*row)
+                    break
+                assert _satisfies(tableau.point(), constraints)
+        assert answers[True] > 100 and answers[False] > 30
+
+    def test_farkas_refutes_only_valid_proofs(self):
+        rows = [({0: Fraction(1)}, ">=", Fraction(2)), ({0: Fraction(1)}, "<=", Fraction(1))]
+        assert farkas_refutes(rows, [Fraction(1), Fraction(1)])
+        assert not farkas_refutes(rows, [Fraction(1), Fraction(1, 2)])
+        assert not farkas_refutes(rows, [Fraction(-1), Fraction(-1)])
+        assert not farkas_refutes(rows, [Fraction(1)])
+
+    @pytest.mark.parametrize("text, subset", [
+        ("gens: a\nrel: a^3", ()),  # infeasible once cuts are in
+        ("gens: a b\nrel: a b", ("a",)),  # the bounds alone exceed the relator cap
+    ])
+    def test_infeasible_search_is_proved(self, monkeypatch, text, subset):
+        # the search checks its Farkas proof before it returns None
+        proofs = []
+        check = weights._check_infeasibility_proof
+        monkeypatch.setattr(weights, "_check_infeasibility_proof",
+                            lambda *args: proofs.append(check(*args)))
+        assert search_weights(parse_presentation(text), frozenset(subset)) is None
+        assert proofs == [None]
