@@ -458,12 +458,12 @@ def _components(d: SurfaceDiagram) -> list[list[int]]:
 
 def _restrict_to_faces(d: SurfaceDiagram, face_indices: Iterable[int]) -> SurfaceDiagram:
     keep = sorted(set(face_indices))
-    used_edges = sorted({s.edge for f in keep for s in d.faces[f].boundary})
+    used_edges = {s.edge for f in keep for s in d.faces[f].boundary}
     used_vertices = sorted({v for eid in used_edges
                             for v in (d.edge_by_id[eid].tail, d.edge_by_id[eid].head)})
     vmap = {v: i for i, v in enumerate(used_vertices)}
     edges = tuple(DiagramEdge(e.id, e.label, vmap[e.tail], vmap[e.head])
-                  for e in d.edges if e.id in set(used_edges))
+                  for e in d.edges if e.id in used_edges)
     faces = tuple(d.faces[f] for f in keep)
     return SurfaceDiagram(len(used_vertices), edges, faces, ())
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Mapping
 
 from .certificates import CERTIFIED_DR_AWAY_FROM, UNKNOWN, Certificate
@@ -21,6 +22,8 @@ from .whitehead import (NEGATIVE, POSITIVE, GraphView, build_whitehead, is_fores
                         reduced_girth)
 
 _NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*\Z")
+# reorient_positive_tree refuses trees with more orientations than this
+MAX_REORIENT_CANDIDATES = 1 << 22
 
 
 class LotError(ValueError):
@@ -59,24 +62,15 @@ class LOT:
                                code="LABEL_NOT_A_VERTEX")
             if e.source == e.target:
                 raise LotError("self-loop edge", code="NOT_A_TREE")
-        if len(self.edges) != len(self.vertices) - 1 or not self._connected():
+        # no vertices means no edges, so the length test fails first
+        if len(self.edges) != len(self.vertices) - 1 or \
+                _reach(self.edges, self.vertices[0], None) != self.vertex_set:
             raise LotError("underlying graph is not a tree", code="NOT_A_TREE")
 
-    def _connected(self) -> bool:
-        if not self.vertices:
-            return False
-        adj: dict[str, list[str]] = {v: [] for v in self.vertices}
-        for e in self.edges:
-            adj[e.source].append(e.target)
-            adj[e.target].append(e.source)
-        seen = {self.vertices[0]}
-        stack = [self.vertices[0]]
-        while stack:
-            for nxt in adj[stack.pop()]:
-                if nxt not in seen:
-                    seen.add(nxt)
-                    stack.append(nxt)
-        return len(seen) == len(self.vertices)
+    @cached_property
+    def source_sides(self) -> tuple[frozenset[str], ...]:
+        """Per edge, the vertices left on its source's side when it is cut."""
+        return tuple(_reach(self.edges, e.source, i) for i, e in enumerate(self.edges))
 
     @property
     def vertex_set(self) -> frozenset[str]:
@@ -107,32 +101,49 @@ def make_sublot(lot: LOT, vertices) -> SubLot:
 def _validate_sublot(lot: LOT, vs: frozenset[str], edge_idx: frozenset[int]) -> None:
     if not edge_idx:
         raise LotError("a sub-LOT needs at least one edge", code="BAD_SUBLOT")
-    used = set()
-    for i in edge_idx:
-        used.add(lot.edges[i].source)
-        used.add(lot.edges[i].target)
-    if used != vs:
+    if _endpoints(lot, edge_idx) != vs:
         raise LotError("sub-LOT vertex set does not match its edges (disconnected vertex?)",
                        code="BAD_SUBLOT")
-    adj: dict[str, list[str]] = {v: [] for v in vs}
-    for i in edge_idx:
-        e = lot.edges[i]
-        adj[e.source].append(e.target)
-        adj[e.target].append(e.source)
-    first = next(iter(sorted(vs)))
-    seen = {first}
-    stack = [first]
+    if label_closure(lot, edge_idx) != edge_idx:
+        outside = sorted({lot.edges[i].label for i in edge_idx} - vs)
+        raise LotError(f"sub-LOT is not label-closed: label {outside[0]!r} outside" if outside
+                       else "sub-LOT is not connected", code="BAD_SUBLOT")
+
+
+def _reach(edges: tuple[LotEdge, ...], start: str, cut: int | None) -> frozenset[str]:
+    """The vertices joined to `start` by the edges, edges[cut] left out."""
+    adj: dict[str, list[str]] = {}
+    for i, e in enumerate(edges):
+        if i != cut:
+            adj.setdefault(e.source, []).append(e.target)
+            adj.setdefault(e.target, []).append(e.source)
+    seen = {start}
+    stack = [start]
     while stack:
-        for nxt in adj[stack.pop()]:
+        for nxt in adj.get(stack.pop(), ()):
             if nxt not in seen:
                 seen.add(nxt)
                 stack.append(nxt)
-    if seen != vs:
-        raise LotError("sub-LOT is not connected", code="BAD_SUBLOT")
-    for i in edge_idx:
-        if lot.edges[i].label not in vs:
-            raise LotError(f"sub-LOT is not label-closed: label {lot.edges[i].label!r} outside",
-                           code="BAD_SUBLOT")
+    return frozenset(seen)
+
+
+def _endpoints(lot: LOT, edge_idx) -> frozenset[str]:
+    return frozenset(v for i in edge_idx for v in (lot.edges[i].source, lot.edges[i].target))
+
+
+def label_closure(lot: LOT, edges) -> frozenset[int]:
+    """The smallest sub-LOT containing `edges` (empty for no edges): take
+    their endpoints and labels, add every edge whose cut separates two of
+    those vertices, and repeat until nothing changes.  A sub-LOT is exactly
+    a nonempty edge set equal to its own closure."""
+    closed = frozenset(edges)
+    while True:
+        vs = _endpoints(lot, closed) | {lot.edges[i].label for i in closed}
+        grown = frozenset(i for i, side in enumerate(lot.source_sides)
+                          if not vs.isdisjoint(side) and not vs <= side)
+        if grown == closed:
+            return closed
+        closed = grown
 
 
 @dataclass(frozen=True)
@@ -143,32 +154,25 @@ class SubLotInfo:
 
 
 def sub_lots(lot: LOT) -> tuple[SubLotInfo, ...]:
-    """Every sub-LOT (connected, >= 1 edge, label-closed), with the maximal
-    proper ones flagged.  Exhaustive over edge subsets; fine at tree scale."""
+    """Every sub-LOT, sorted by size then edges, with the maximal proper ones
+    flagged.  Grown from the closure of each single edge by closing each
+    one-edge extension; a proper sub-LOT is maximal iff every extension
+    closes to the whole tree.  The cost is per sub-LOT found, and a tree can
+    have exponentially many."""
     n = len(lot.edges)
-    found: list[frozenset[int]] = []
-    for mask in range(1, 1 << n):
-        edge_idx = frozenset(i for i in range(n) if mask >> i & 1)
-        vs = frozenset()
-        for i in edge_idx:
-            vs |= {lot.edges[i].source, lot.edges[i].target}
-        try:
-            _validate_sublot(lot, vs, edge_idx)
-        except LotError:
-            continue
-        found.append(edge_idx)
-    found.sort(key=lambda s: (len(s), sorted(s)))
-    infos = []
-    all_edges = frozenset(range(n))
-    proper_sets = [s for s in found if s != all_edges]
-    for edge_idx in found:
-        proper = edge_idx != all_edges
-        maximal = proper and not any(edge_idx < other for other in proper_sets)
-        vs = frozenset()
-        for i in edge_idx:
-            vs |= {lot.edges[i].source, lot.edges[i].target}
-        infos.append(SubLotInfo(SubLot(lot, vs, edge_idx), proper, maximal))
-    return tuple(infos)
+    whole = frozenset(range(n))
+    found = {label_closure(lot, {i}) for i in range(n)}
+    todo = list(found)
+    maximal = set()
+    while todo:
+        t = todo.pop()
+        extensions = {label_closure(lot, t | {i}) for i in whole - t}
+        if extensions == {whole}:
+            maximal.add(t)
+        todo.extend(extensions - found)
+        found |= extensions
+    return tuple(SubLotInfo(SubLot(lot, _endpoints(lot, t), t), t != whole, t in maximal)
+                 for t in sorted(found, key=lambda t: (len(t), sorted(t))))
 
 
 def parse_lot(text: str) -> LOT:
@@ -324,7 +328,7 @@ def insert(lbar: LOT, y: str, t: LOT,
     return LOT(tuple(vertices), tuple(edges))
 
 
-def reorient_positive_tree(lot: LOT, max_candidates: int = 1 << 22) -> LOT:
+def reorient_positive_tree(lot: LOT) -> LOT:
     """Find a reorientation whose presentation has a positive Whitehead
     graph that is a forest.
 
@@ -336,7 +340,7 @@ def reorient_positive_tree(lot: LOT, max_candidates: int = 1 << 22) -> LOT:
     """
     if len(lot.edges) == 0:
         return lot
-    if 1 << len(lot.edges) > max_candidates:
+    if 1 << len(lot.edges) > MAX_REORIENT_CANDIDATES:
         raise LotError("reorientation search space exceeds the configured limit",
                        code="SEARCH_EXHAUSTED")
     order = list(range(len(lot.edges)))
@@ -401,13 +405,12 @@ def _fresh_vertex(lot: LOT) -> str:
     return f"y{k}"
 
 
-def certify_lot(lot: LOT, t: SubLot, lattice: tuple[SubLotInfo, ...]) -> Certificate:
+def certify_lot(lot: LOT, t: SubLot) -> Certificate:
     """Collapse-transfer certificate: collapse the maximal proper sub-LOT to
     a vertex y, certify the collapsed LOT directed away from {y} (forest
     test on the positive or negative graph, or reduced girth >= 4), and
     transfer the conclusion back: the full presentation is directed away
-    from the sub-LOT's vertex set.  `lattice` is `sub_lots(lot)`, computed
-    once by the caller for all the sub-LOTs it certifies.
+    from the sub-LOT's vertex set.
 
     When the sub-LOT's own presentation is diagrammatically reducible the
     certificate also records that the full complex is aspherical.
@@ -426,11 +429,11 @@ def certify_lot(lot: LOT, t: SubLot, lattice: tuple[SubLotInfo, ...]) -> Certifi
     _validate_sublot(lot, t.vertex_subset, t.edge_indices)
     if not lot_properties(lot).compressed:
         return failure("the LOT is not compressed")
-    info = next((i for i in lattice if i.sublot.edge_indices == t.edge_indices), None)
-    if info is None or not info.proper:
+    whole = frozenset(range(len(lot.edges)))
+    if t.edge_indices == whole:
         return failure("the sub-LOT is not proper")
-    if not info.maximal_proper:
-        enclosing = [sorted(i.sublot.vertex_subset) for i in lattice
+    if any(label_closure(lot, t.edge_indices | {i}) != whole for i in whole - t.edge_indices):
+        enclosing = [sorted(i.sublot.vertex_subset) for i in sub_lots(lot)
                      if i.maximal_proper and t.edge_indices < i.sublot.edge_indices]
         return failure("the sub-LOT is not maximal among proper sub-LOTs",
                        enclosing_maximal=enclosing)

@@ -88,14 +88,13 @@ class PieceTable:
 def piece_table(p: Presentation) -> PieceTable:
     closure = symmetrized_closure(p)
     lengths = {e.provenance: 0 for e in closure}
-    for i, e in enumerate(closure):
-        for j in range(i + 1, len(closure)):
-            f = closure[j]
-            lcp = _common_prefix_length(e.word, f.word)
-            if lcp > lengths[e.provenance]:
-                lengths[e.provenance] = lcp
-            if lcp > lengths[f.provenance]:
-                lengths[f.provenance] = lcp
+    # in sorted order an occurrence's longest common prefix with any other
+    # is attained at a neighbour
+    ordered = sorted(closure, key=lambda e: [(l.gen, l.sign) for l in e.word])
+    for e, f in zip(ordered, ordered[1:]):
+        lcp = _common_prefix_length(e.word, f.word)
+        lengths[e.provenance] = max(lengths[e.provenance], lcp)
+        lengths[f.provenance] = max(lengths[f.provenance], lcp)
     return PieceTable(lengths, {i: len(r) for i, r in enumerate(p.relators)}, closure)
 
 

@@ -40,6 +40,8 @@ from .whitehead import WhiteheadGraph, build_whitehead, min_weight_reduced_cycle
 
 # a linear row: coefficients by variable, "<=" or ">=", right-hand side
 Constraint = tuple[Mapping[int, Fraction], str, Fraction]
+# search_weights gives up with a RuntimeError after this many cuts
+MAX_SEARCH_ROUNDS = 10000
 
 
 class WeightError(ValueError):
@@ -54,10 +56,6 @@ class WeightAssignment:
     edge of the target graph and all weights are nonnegative."""
 
     weights: Mapping[int, Fraction]
-
-    @staticmethod
-    def unit(graph: WhiteheadGraph) -> "WeightAssignment":
-        return WeightAssignment({e.id: Fraction(1) for e in graph.edges})
 
     def check_against(self, graph: WhiteheadGraph) -> None:
         missing = [e.id for e in graph.edges if e.id not in self.weights]
@@ -177,8 +175,7 @@ def verify_weight_test(p: Presentation, subset, assignment: WeightAssignment,
     return WeightCertificate(s, assignment, (report1, report2, report3, report4))
 
 
-def search_weights(p: Presentation, subset, *,
-                   max_rounds: int = 10000) -> Optional[WeightCertificate]:
+def search_weights(p: Presentation, subset) -> Optional[WeightCertificate]:
     """Cutting-plane search for a satisfying assignment.
 
     Returns the verified certificate of the assignment found, or None when
@@ -201,7 +198,7 @@ def search_weights(p: Presentation, subset, *,
                        "<=", Fraction(len(rel) - 2))
                    for r_idx, rel in enumerate(p.relators))
     seen_cuts: set[tuple[tuple[int, int], ...]] = set()
-    for _ in range(max_rounds):
+    for _ in range(MAX_SEARCH_ROUNDS):
         if not feasible:
             _check_infeasibility_proof(lower, constraints, tableau)
             return None
@@ -219,7 +216,7 @@ def search_weights(p: Presentation, subset, *,
             raise AssertionError(f"separation produced a repeated cut {key}")
         seen_cuts.add(key)
         feasible = add({eid: Fraction(mult) for eid, mult in usage.items()}, ">=", Fraction(2))
-    raise RuntimeError("cutting-plane loop exceeded max_rounds")
+    raise RuntimeError("cutting-plane loop exceeded MAX_SEARCH_ROUNDS")
 
 
 def _check_infeasibility_proof(lower: Mapping[int, Fraction], constraints: list[Constraint],

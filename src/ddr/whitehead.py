@@ -54,10 +54,6 @@ class CornerEdge:
     b: WVertex
 
     @property
-    def endpoints(self) -> tuple[WVertex, WVertex]:
-        return (self.a, self.b)
-
-    @property
     def is_loop(self) -> bool:
         return self.a == self.b
 

@@ -127,7 +127,7 @@ def test_c06_fxl2_chain(fxl2_doc):
                 ("y", "u1", "u4"), ("y", "u4", "u3")]
     graph = build_whitehead(lot_presentation(bar))
     forest = is_forest(GraphView(graph, POSITIVE)).forest
-    cert = certify_lot(lot, t, infos)
+    cert = certify_lot(lot, t)
     aspherical = any(c["kind"] == "aspherical" for c in cert.consequences)
     sub_w_minus = is_forest(GraphView(
         build_whitehead(subpresentation(lot_presentation(lot), t.vertex_subset)),

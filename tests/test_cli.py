@@ -126,6 +126,13 @@ class TestWorkDoneOnce:
         assert counts == {"sub_lots": 1}
         capsys.readouterr()
 
+    def test_lot_sublot_does_not_enumerate_the_lattice(self, monkeypatch, capsys):
+        counts = Counter()
+        _count_calls(monkeypatch, counts, lot, "sub_lots", cli)
+        assert main(["lot", str(FIXTURES / "fxl2.lot"), "--sublot", "T"]) == 0
+        assert counts == {}
+        capsys.readouterr()
+
     def test_weight_search_is_verified_once(self, monkeypatch, capsys):
         counts = Counter()
         _count_calls(monkeypatch, counts, weights, "build_whitehead", pipeline, smallcancel)

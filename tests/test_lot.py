@@ -154,8 +154,25 @@ class TestSubLots:
                 if comp != vs:
                     continue
                 expected.add(frozenset(idx))
-            got = {info.sublot.edge_indices for info in sub_lots(lot)}
-            assert got == expected
+            whole = frozenset(range(n))
+            proper = [s for s in expected if s != whole]
+            flags = {s: (s != whole, s != whole and not any(s < o for o in proper))
+                     for s in expected}
+            got = {info.sublot.edge_indices: (info.proper, info.maximal_proper)
+                   for info in sub_lots(lot)}
+            assert got == flags
+
+    def test_path_labeled_by_sources(self):
+        # beyond the brute force's reach: the sub-LOTs are the contiguous
+        # sub-paths, and only the two 19-edge ones are maximal proper
+        names = tuple(f"v{i}" for i in range(21))
+        lot = LOT(names, tuple(LotEdge(names[i], names[i + 1], names[i]) for i in range(20)))
+        infos = sub_lots(lot)
+        assert len(infos) == 210
+        assert all(max(i.sublot.edge_indices) - min(i.sublot.edge_indices)
+                   == len(i.sublot.edge_indices) - 1 for i in infos)
+        assert [sorted(i.sublot.edge_indices) for i in infos if i.maximal_proper] == \
+            [list(range(19)), list(range(1, 20))]
 
 
 class TestCollapseInsert:
@@ -266,7 +283,7 @@ class TestReorient:
 class TestCertify:
     def test_fxl2_full_chain(self, fxl2_doc):
         lot, t = fxl2_doc.lot, fxl2_doc.sublots["T"]
-        cert = certify_lot(lot, t, sub_lots(lot))
+        cert = certify_lot(lot, t)
         assert cert.verdict == "CERTIFIED_DR_AWAY_FROM"
         assert cert.subset == ("x1", "x2", "x3", "x4", "x5")
         assert cert.evidence["test"] == "forest"
@@ -276,7 +293,7 @@ class TestCertify:
 
     def test_fig3_certifies_with_girth_at_least_four(self, fig3_doc):
         lot, t = fig3_doc.lot, fig3_doc.sublots["T"]
-        cert = certify_lot(lot, t, sub_lots(lot))
+        cert = certify_lot(lot, t)
         assert cert.verdict == "CERTIFIED_DR_AWAY_FROM"
         assert cert.evidence["reduced_girth"] is None or \
             cert.evidence["reduced_girth"] >= 4
@@ -284,7 +301,7 @@ class TestCertify:
     def test_non_maximal_rejected_with_suggestion(self, fxl2_doc):
         lot = fxl2_doc.lot
         small = make_sublot(lot, {"x1", "x2", "x3"})
-        cert = certify_lot(lot, small, sub_lots(lot))
+        cert = certify_lot(lot, small)
         assert cert.verdict == "UNKNOWN"
         assert "maximal" in cert.evidence["failed_hypothesis"]
         assert ["x1", "x2", "x3", "x4", "x5"] in cert.evidence["enclosing_maximal"]
@@ -292,6 +309,6 @@ class TestCertify:
     def test_whole_lot_rejected(self, fxl2_doc):
         lot = fxl2_doc.lot
         whole = make_sublot(lot, set(lot.vertices))
-        cert = certify_lot(lot, whole, sub_lots(lot))
+        cert = certify_lot(lot, whole)
         assert cert.verdict == "UNKNOWN"
         assert "proper" in cert.evidence["failed_hypothesis"]
