@@ -13,11 +13,13 @@ static constraints
   * per relator, the corner sum is at most length - 2.
 
 The reduced-cycle condition (every reduced cycle weighs >= 2) has one
-inequality per cycle, exponentially many, so it is enforced lazily: ask the
-minimum-reduced-cycle search for a cycle the current point violates, add
-that cycle's inequality as a cut, repeat.  Only dart-simple cycles are ever
-produced, there are finitely many, and a repeat cut is an internal error, so
-the loop terminates.
+inequality per cycle, exponentially many, so it is enforced lazily: each
+round asks the reduced-cycle sweep for every cycle below 2 at the current
+point, one per start dart, and adds their inequalities as cuts, lightest
+first, skipping a cycle that the cuts added before it in the round already
+lift to 2 (a repeat of one of them included).  Only dart-simple cycles are
+ever produced, there are finitely many, and a repeat cut is an internal
+error, so the loop terminates.
 
 One exact tableau (`Tableau`) serves the whole search.  It works in the
 shifted variables y = w - lower bound, so its all-slack start basis is
@@ -35,7 +37,8 @@ from fractions import Fraction
 from typing import Mapping, Optional
 
 from .core import Presentation, check_preconditions
-from .whitehead import WhiteheadGraph, build_whitehead, min_weight_reduced_cycle
+from .whitehead import (WhiteheadGraph, build_whitehead, min_weight_reduced_cycle,
+                        reduced_cycles_below)
 
 
 # a linear row: coefficients by variable, "<=" or ">=", right-hand side
@@ -158,14 +161,17 @@ def verify_weight_test(p: Presentation, subset, assignment: WeightAssignment,
                               "edges touching exactly one subset-derived vertex weigh >= 1/2",
                               c2_bad)
 
-    cycle = min_weight_reduced_cycle(graph, w)
-    c3_ok = cycle.weight is None or cycle.weight >= 2
-    report3 = ConditionReport(3, c3_ok, "every reduced cycle weighs >= 2",
-                              None if c3_ok else (cycle.weight, cycle.cycle))
+    # the exact minimum is needed only for the witness of a failure
+    c3_ok = next(reduced_cycles_below(graph, w, 2), None) is None
+    witness = None
+    if not c3_ok:
+        cycle = min_weight_reduced_cycle(graph, w)
+        witness = (cycle.weight, cycle.cycle)
+    report3 = ConditionReport(3, c3_ok, "every reduced cycle weighs >= 2", witness)
 
     c4_bad = None
     for r_idx, rel in enumerate(p.relators):
-        total = sum(w[e.id] for e in graph.edges if e.relator_index == r_idx)
+        total = sum(w[eid] for eid in graph.relator_edges[r_idx])
         if total > len(rel) - 2:
             c4_bad = (r_idx, total)
             break
@@ -194,7 +200,11 @@ def search_weights(p: Presentation, subset) -> Optional[WeightCertificate]:
         return tableau.add_row(coeffs, sense,
                                rhs - sum(c * lower[v] for v, c in coeffs.items()))
 
-    feasible = all(add({e.id: Fraction(1) for e in graph.edges if e.relator_index == r_idx},
+    def current() -> dict[int, Fraction]:
+        point = tableau.point()
+        return {e.id: lower[e.id] + point[e.id] for e in graph.edges}
+
+    feasible = all(add({eid: Fraction(1) for eid in graph.relator_edges[r_idx]},
                        "<=", Fraction(len(rel) - 2))
                    for r_idx, rel in enumerate(p.relators))
     seen_cuts: set[tuple[tuple[int, int], ...]] = set()
@@ -202,20 +212,27 @@ def search_weights(p: Presentation, subset) -> Optional[WeightCertificate]:
         if not feasible:
             _check_infeasibility_proof(lower, constraints, tableau)
             return None
-        point = tableau.point()
-        weights = {e.id: lower[e.id] + point[e.id] for e in graph.edges}
-        cycle = min_weight_reduced_cycle(graph, weights)
-        if cycle.weight is None or cycle.weight >= 2:
+        weights = current()
+        cycles = sorted(reduced_cycles_below(graph, weights, 2), key=lambda c: c.weight)
+        if not cycles:
             cert = verify_weight_test(p, s, WeightAssignment(weights), graph)
             if not cert.passed:
                 raise AssertionError("search produced an assignment the verifier rejects")
             return cert
-        usage = Counter(d // 2 for d in cycle.cycle)
-        key = tuple(sorted(usage.items()))
-        if key in seen_cuts:
-            raise AssertionError(f"separation produced a repeated cut {key}")
-        seen_cuts.add(key)
-        feasible = add({eid: Fraction(mult) for eid, mult in usage.items()}, ">=", Fraction(2))
+        # Lightest first.  A cycle that the round's earlier cuts already lift
+        # to weight 2 (a repeat of one of them, say) is left for a later round.
+        for cycle in cycles:
+            usage = Counter(d // 2 for d in cycle.cycle)
+            if sum(m * weights[eid] for eid, m in usage.items()) >= 2:
+                continue
+            key = tuple(sorted(usage.items()))
+            if key in seen_cuts:
+                raise AssertionError(f"separation produced a repeated cut {key}")
+            seen_cuts.add(key)
+            feasible = add({eid: Fraction(m) for eid, m in usage.items()}, ">=", Fraction(2))
+            if not feasible:
+                break
+            weights = current()
     raise RuntimeError("cutting-plane loop exceeded MAX_SEARCH_ROUNDS")
 
 

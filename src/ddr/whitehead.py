@@ -9,15 +9,24 @@ weight corners individually.
 Reduced cycles are closed dart walks that never follow a dart immediately by
 its own reverse, including across the wrap-around.  Traversing two distinct
 parallel edges back and forth is reduced.
+
+Every weighted cycle question goes through one sweep: a Dijkstra from a
+start dart in integer weights (the weights scaled by the LCM of their
+denominators), pruned at a bound, returning that dart's cheapest closing
+walk.  `reduced_cycles_below` bounds each sweep by a threshold and yields
+one cycle per start dart; `min_weight_reduced_cycle` bounds each by the best
+cycle so far; `reduced_girth` is the minimum under unit weights.
 """
 
 from __future__ import annotations
 
 import heapq
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Mapping, Optional
+from math import inf, lcm
+from typing import Iterator, Mapping, Optional
 
 from .core import Letter, Presentation, PresentationError
 
@@ -86,6 +95,27 @@ class WhiteheadGraph:
         for d in range(self.dart_count):
             out[self.tail(d)].append(d)
         return {v: tuple(ds) for v, ds in out.items()}
+
+    # Dart tables for the cycle sweeps: the vertex index of each dart's tail
+    # (its reverse's is its head's), and the darts that may follow each dart
+    # in a reduced walk.
+    @cached_property
+    def tail_index(self) -> tuple[int, ...]:
+        index = {v: i for i, v in enumerate(self.vertices)}
+        return tuple(index[self.tail(d)] for d in range(self.dart_count))
+
+    @cached_property
+    def successors(self) -> tuple[tuple[int, ...], ...]:
+        return tuple(tuple(n for n in self.darts_from[self.head(d)] if n != d ^ 1)
+                     for d in range(self.dart_count))
+
+    @cached_property
+    def relator_edges(self) -> Mapping[int, tuple[int, ...]]:
+        """Edge ids per relator index, in corner order."""
+        out: dict[int, list[int]] = {}
+        for e in self.edges:
+            out.setdefault(e.relator_index, []).append(e.id)
+        return {r: tuple(ids) for r, ids in out.items()}
 
 
 def build_whitehead(p: Presentation) -> WhiteheadGraph:
@@ -170,9 +200,9 @@ def _would_cycle(adj, u, v) -> bool:
 def _tree_path(adj, u, v) -> list[int]:
     # BFS through already-accepted edges; returns the edge id path u..v
     prev: dict[WVertex, tuple[WVertex, int]] = {u: (u, -1)}
-    queue = [u]
+    queue = deque([u])
     while queue:
-        cur = queue.pop(0)
+        cur = queue.popleft()
         if cur == v:
             break
         for nxt, eid in adj[cur]:
@@ -211,60 +241,91 @@ def _edge_weights(graph: WhiteheadGraph,
     return table
 
 
+def _scaled(values: list[Fraction]) -> tuple[list[int], int]:
+    """The values over their least common denominator: (numerators, scale)."""
+    scale = lcm(*(v.denominator for v in values))
+    return [v.numerator * (scale // v.denominator) for v in values], scale
+
+
+def _cheapest_cycle_from(graph: WhiteheadGraph, wt: list[int], start: int,
+                         bound) -> Optional[tuple[int, tuple[int, ...]]]:
+    """The cheapest reduced closed dart walk that starts with `start` and
+    uses no dart below it, if it costs less than `bound`: (cost, darts).
+
+    The sweep is a Dijkstra over the dart-transition graph (arcs d -> d'
+    with head(d) = tail(d') and d' != reverse(d)) in integer weights.  No
+    label at or above the bound is ever stored, and the sweep stops once
+    every dart as cheap as the first closing dart is settled; ties go to the
+    lowest closing dart.
+    """
+    succ, tail = graph.successors, graph.tail_index
+    cost = wt[start >> 1]
+    if cost >= bound:
+        return None
+    home, no_close = tail[start], start ^ 1
+    dist = {start: cost}
+    parent = {start: -1}
+    heap = [(cost, start)]
+    found = close = None
+    while heap:
+        cost, dart = heapq.heappop(heap)
+        if cost > dist[dart]:
+            continue  # a stale label
+        if found is not None and cost > found:
+            break
+        if tail[dart ^ 1] == home and dart != no_close and (found is None or dart < close):
+            found, close, bound = cost, dart, cost + 1
+        for nxt in succ[dart]:
+            if nxt < start:
+                continue
+            cand = cost + wt[nxt >> 1]
+            if cand < dist.get(nxt, bound):
+                dist[nxt] = cand
+                parent[nxt] = dart
+                heapq.heappush(heap, (cand, nxt))
+    if found is None:
+        return None
+    cycle = []
+    while close != -1:
+        cycle.append(close)
+        close = parent[close]
+    return found, tuple(reversed(cycle))
+
+
+def reduced_cycles_below(graph: WhiteheadGraph, weights: Mapping[int, Fraction] | None,
+                         threshold: Fraction | int) -> Iterator[CycleReport]:
+    """Per start dart, in increasing order, the cheapest reduced closed walk
+    through it over darts >= it, when that walk weighs less than the
+    threshold.  Yields something iff some reduced cycle weighs less than the
+    threshold; every yielded walk repeats no dart."""
+    scaled, scale = _scaled([*_edge_weights(graph, weights), Fraction(threshold)])
+    wt, bound = scaled[:-1], scaled[-1]
+    for start in range(graph.dart_count):
+        found = _cheapest_cycle_from(graph, wt, start, bound)
+        if found is not None:
+            yield CycleReport(Fraction(found[0], scale), found[1])
+
+
 def min_weight_reduced_cycle(graph: WhiteheadGraph,
                              weights: Mapping[int, Fraction] | None = None) -> CycleReport:
     """Minimum edge-weight sum over all reduced closed dart walks.
 
     weights=None means unit weights, so the result is the reduced girth.
     Any minimal reduced closed walk repeats no dart (a repeat splits the walk
-    into two shorter reduced closed walks), so the search runs over the
-    dart-transition graph: arcs d -> d' with head(d) = tail(d') and
-    d' != reverse(d).  One nonnegative-weight shortest-path sweep per start
-    dart, restricted to darts with id >= start so each cycle is found from
-    its lowest dart; ties resolve to the first (lowest) start.
+    into two shorter reduced closed walks), so one sweep per start dart,
+    restricted to darts >= start, finds each cycle from its lowest dart.
+    Each sweep is bounded by the best cycle so far, so ties resolve to the
+    lowest start, then to the lowest closing dart.
     """
-    wt = _edge_weights(graph, weights)
-    best_weight: Optional[Fraction] = None
-    best_cycle: Optional[tuple[int, ...]] = None
-    n_darts = graph.dart_count
-    for start in range(n_darts):
-        dist: dict[int, Fraction] = {start: wt[start // 2]}
-        parent: dict[int, int] = {start: -1}
-        heap: list[tuple[Fraction, int]] = [(dist[start], start)]
-        settled: set[int] = set()
-        start_tail = graph.tail(start)
-        while heap:
-            d_cost, dart = heapq.heappop(heap)
-            if dart in settled:
-                continue
-            settled.add(dart)
-            if best_weight is not None and d_cost >= best_weight:
-                # cannot improve: every extension only adds weight
-                continue
-            head = graph.head(dart)
-            for nxt in graph.darts_from[head]:
-                if nxt < start or nxt == graph.reverse(dart):
-                    continue
-                cand = d_cost + wt[nxt // 2]
-                if nxt not in dist or cand < dist[nxt]:
-                    dist[nxt] = cand
-                    parent[nxt] = dart
-                    heapq.heappush(heap, (cand, nxt))
-        for dart in sorted(settled):
-            if graph.head(dart) != start_tail:
-                continue
-            if start == graph.reverse(dart):
-                continue
-            total = dist[dart]
-            if best_weight is None or total < best_weight:
-                cycle = []
-                cur = dart
-                while cur != -1:
-                    cycle.append(cur)
-                    cur = parent[cur]
-                cycle.reverse()
-                best_weight, best_cycle = total, tuple(cycle)
-    return CycleReport(best_weight, best_cycle)
+    wt, scale = _scaled(_edge_weights(graph, weights))
+    best = None
+    for start in range(graph.dart_count):
+        found = _cheapest_cycle_from(graph, wt, start, inf if best is None else best[0])
+        if found is not None:
+            best = found
+    if best is None:
+        return CycleReport(None, None)
+    return CycleReport(Fraction(best[0], scale), best[1])
 
 
 def reduced_girth(graph: WhiteheadGraph) -> Optional[int]:

@@ -12,37 +12,70 @@ def brute_min_reduced_cycle(graph: WhiteheadGraph, weights=None):
     """Minimum weight over all dart-simple reduced closed walks, by
     exhaustive DFS; returns (weight, cycle darts) or (None, None).
 
-    With unit weights a longer path can never beat the best cycle found so
-    far, which keeps the search tractable on loop-dense multigraphs.
+    Weights are nonnegative, so a path already as heavy as the best cycle
+    found so far can never beat it.  A first pass over walks of at most four
+    darts finds a good bound early, before a start dart whose walks never
+    close (an edge into a cluster of loops, say) is searched in full.
     """
-    unit = weights is None
-    if unit:
+    if weights is None:
         wt = {e.id: Fraction(1) for e in graph.edges}
     else:
         wt = {eid: Fraction(w) for eid, w in weights.items()}
     best = [None, None]
 
-    def rec(path, used):
+    def rec(path, used, total, limit):
         last = path[-1]
         head = graph.head(last)
         if head == graph.tail(path[0]) and path[0] != graph.reverse(last):
-            total = sum(wt[d // 2] for d in path)
             if best[0] is None or total < best[0]:
                 best[0], best[1] = total, tuple(path)
-        if unit and best[0] is not None and len(path) >= best[0]:
+        if best[0] is not None and total >= best[0] or len(path) == limit:
             return
         for nxt in graph.darts_from[head]:
             if nxt in used or nxt == graph.reverse(last):
                 continue
             path.append(nxt)
             used.add(nxt)
-            rec(path, used)
+            rec(path, used, total + wt[nxt // 2], limit)
+            path.pop()
+            used.remove(nxt)
+
+    for limit in (4, graph.dart_count):
+        for start in range(graph.dart_count):
+            rec([start], {start}, wt[start // 2], limit)
+    return best[0], best[1]
+
+
+def brute_min_cycle_ends(graph: WhiteheadGraph, weights):
+    """The least (weight, first dart, last dart) over all dart-simple reduced
+    closed walks that start at their lowest dart, by exhaustive DFS: the
+    minimum weight, then the lowest start, then the lowest closing dart.
+    Zero weights leave the search unbounded by the best weight, so keep the
+    graph small."""
+    wt = {eid: Fraction(w) for eid, w in weights.items()}
+    best = [None]
+
+    def rec(path, used, total):
+        if best[0] is not None and total > best[0][0]:
+            return
+        last = path[-1]
+        head = graph.head(last)
+        if head == graph.tail(path[0]) and path[0] != graph.reverse(last):
+            found = (total, path[0], last)
+            if best[0] is None or found < best[0]:
+                best[0] = found
+        for nxt in graph.darts_from[head]:
+            if nxt < path[0] or nxt in used or nxt == graph.reverse(last):
+                continue
+            path.append(nxt)
+            used.add(nxt)
+            rec(path, used, total + wt[nxt // 2])
             path.pop()
             used.remove(nxt)
 
     for start in range(graph.dart_count):
-        rec([start], {start})
-    return best[0], best[1]
+        rec([start], {start}, wt[start // 2])
+    return best[0]
 
 
 def brute_reduced_cycles_of_length(graph: WhiteheadGraph, length: int):

@@ -4,7 +4,7 @@ from collections import Counter
 import pytest
 
 from conftest import FIXTURES
-from ddr import cli, lot, pipeline, smallcancel, weights
+from ddr import cli, lot, pipeline, smallcancel, weights, whitehead
 from ddr.certificates import Report
 from ddr.cli import main
 from ddr.pipeline import CheckConfig, derive_consequences, run_check
@@ -140,6 +140,31 @@ class TestWorkDoneOnce:
         assert main(["check", str(FIXTURES / "fx3.pres"), "--away-from", "x1,x2",
                      "--tests", "weight"]) == 0
         assert counts == {"build_whitehead": 1, "verify_weight_test": 1}
+        capsys.readouterr()
+
+    def test_passing_weights_need_no_exact_minimum(self, monkeypatch, capsys):
+        # s44's weights pass the verifier, whose pruned sweep decides that alone
+        counts = Counter()
+        _count_calls(monkeypatch, counts, whitehead, "min_weight_reduced_cycle", weights)
+        assert main(["check", str(FIXTURES / "fx3.pres"), "--away-from", "x1,x2",
+                     "--tests", "s44"]) == 0
+        assert counts == {}
+        capsys.readouterr()
+
+    def test_weight_search_adds_several_cuts_per_round(self, monkeypatch, capsys):
+        # one separation per round, one more in the final verification;
+        # every ">=" row is a cycle cut
+        counts = Counter()
+        _count_calls(monkeypatch, counts, weights, "reduced_cycles_below")
+        add_row = weights.Tableau.add_row
+
+        def counted_add_row(self, coeffs, sense, rhs):
+            counts["cuts"] += sense == ">="
+            return add_row(self, coeffs, sense, rhs)
+
+        monkeypatch.setattr(weights.Tableau, "add_row", counted_add_row)
+        assert main(["check", str(FIXTURES / "fx3.pres"), "--tests", "weight"]) == 0
+        assert counts["cuts"] > counts["reduced_cycles_below"] > 2
         capsys.readouterr()
 
     def test_lot_ladder_miss_is_not_rerun(self, monkeypatch, capsys):

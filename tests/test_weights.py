@@ -8,7 +8,7 @@ from ddr import weights
 from ddr.core import parse_presentation
 from ddr.weights import (Tableau, WeightAssignment, WeightError, farkas_refutes,
                          search_weights, solve_feasibility, verify_weight_test)
-from ddr.whitehead import build_whitehead
+from ddr.whitehead import build_whitehead, min_weight_reduced_cycle
 
 
 def all_half(p):
@@ -31,6 +31,8 @@ class TestVerify:
         assert by_condition[3] is False
         witness_weight, witness_cycle = cert.reports[2].witness
         assert witness_weight < 2 and witness_cycle
+        exact = min_weight_reduced_cycle(g, zero.weights)
+        assert (witness_weight, witness_cycle) == (exact.weight, exact.cycle)
 
     def test_fx3_all_half_passes_with_vacuous_condition_one(self, fx3):
         cert = verify_weight_test(fx3, {"x1", "x2"}, all_half(fx3))

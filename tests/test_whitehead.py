@@ -2,14 +2,16 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_presentation
-from oracles import brute_component_count, brute_min_reduced_cycle
+from oracles import brute_component_count, brute_min_cycle_ends, brute_min_reduced_cycle
 from ddr.core import parse_presentation
 from ddr.whitehead import (FULL, POSITIVE, CornerEdge, GraphView,
                            WhiteheadGraph, WVertex, build_whitehead, dump_graph,
-                           is_forest, min_weight_reduced_cycle, reduced_girth,
-                           shortest_reduced_cycle_in_range)
+                           is_forest, min_weight_reduced_cycle, reduced_cycles_below,
+                           reduced_girth, shortest_reduced_cycle_in_range)
 
 
 def V(gen, sign):
@@ -171,6 +173,91 @@ class TestMinCycle:
             bumped[bump_edge] += Fraction(rng.randint(1, 3))
             after = min_weight_reduced_cycle(g, bumped).weight
             assert after is not None and after >= base
+
+
+small_fractions = st.builds(Fraction, st.integers(0, 6), st.integers(1, 3))
+
+
+@st.composite
+def weighted_multigraphs(draw, max_edges=7):
+    """Up to four vertices and `max_edges` edges, loops and parallel edges
+    allowed, each edge weighted by a small nonnegative fraction."""
+    names = [f"v{i}" for i in range(draw(st.integers(1, 4)))]
+    pairs = draw(st.lists(st.tuples(st.sampled_from(names), st.sampled_from(names)),
+                          max_size=max_edges))
+    g = synthetic_graph(names, pairs)
+    weights = {e.id: draw(small_fractions) for e in g.edges}
+    return g, weights
+
+
+def networkx_min_cycle(g, weights):
+    """Lightest cycle by an independent route: per edge, its weight plus the
+    shortest path between its ends with that edge removed; a loop alone."""
+    nx = pytest.importorskip("networkx")
+    multi = nx.MultiGraph()
+    multi.add_nodes_from(g.vertices)
+    for e in g.edges:
+        multi.add_edge(e.a, e.b, key=e.id, weight=weights[e.id])
+    best = None
+    for e in g.edges:
+        if e.is_loop:
+            total = weights[e.id]
+        else:
+            multi.remove_edge(e.a, e.b, key=e.id)
+            try:
+                total = weights[e.id] + nx.dijkstra_path_length(multi, e.a, e.b)
+            except nx.NetworkXNoPath:
+                total = None
+            multi.add_edge(e.a, e.b, key=e.id, weight=weights[e.id])
+        if total is not None and (best is None or total < best):
+            best = total
+    return best
+
+
+class TestCyclesBelow:
+    @settings(max_examples=300, deadline=None)
+    @given(weighted_multigraphs(), small_fractions)
+    def test_agrees_with_brute_force_and_networkx(self, drawn, threshold):
+        g, weights = drawn
+        expected, _ = brute_min_reduced_cycle(g, weights)
+        assert networkx_min_cycle(g, weights) == expected
+        assert min_weight_reduced_cycle(g, weights).weight == expected
+        found = list(reduced_cycles_below(g, weights, threshold))
+        assert bool(found) == (expected is not None and expected < threshold)
+        for report in found:
+            cycle = report.cycle
+            for i, dart in enumerate(cycle):
+                nxt = cycle[(i + 1) % len(cycle)]
+                assert g.head(dart) == g.tail(nxt) and nxt != g.reverse(dart)
+            assert report.weight == sum(weights[d // 2] for d in cycle)
+            assert report.weight < threshold
+        if expected is not None:
+            assert next(reduced_cycles_below(g, weights, expected), None) is None
+
+    @settings(max_examples=300, deadline=None)
+    @given(weighted_multigraphs(max_edges=4))
+    def test_minimum_keeps_its_tie_rule(self, drawn):
+        # the lowest start dart, then the lowest closing dart; zero weights
+        # make many ties, and few edges keep the oracle's search small
+        g, weights = drawn
+        report = min_weight_reduced_cycle(g, weights)
+        ends = None if report.cycle is None else \
+            (report.weight, report.cycle[0], report.cycle[-1])
+        assert ends == brute_min_cycle_ends(g, weights)
+
+    @settings(max_examples=100, deadline=None)
+    @given(weighted_multigraphs())
+    def test_girth_is_brute_unit_minimum(self, drawn):
+        g, _ = drawn
+        expected, _ = brute_min_reduced_cycle(g)
+        assert reduced_girth(g) == expected
+
+    def test_one_cycle_per_start_dart(self, fx4):
+        g = build_whitehead(fx4)
+        starts = [r.cycle[0] for r in reduced_cycles_below(g, None, 5)]
+        assert starts == sorted(set(starts)) and starts
+        assert all(min(r.cycle) == r.cycle[0]
+                   for r in reduced_cycles_below(g, None, 5))
 
 
 class TestShortCycles:
