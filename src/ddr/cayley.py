@@ -12,17 +12,35 @@ collapsed full complex collapses all of its subcomplexes (replay the log
 filtered to the subcomplex; multiplicities only shrink).  That upgrades the
 finite-subcomplex characterization to a decision procedure when the group
 is finite.
+
+Because a live cell never loses a free edge, `directed_collapse` keeps a
+min-heap of the cells that have one and requeues the cells on an edge whose
+multiplicity drops to 1.  Each step takes the lowest-index such cell across
+its first free edge in boundary order, exactly what a rescan of all cells
+would pick, so the log does not depend on the worklist.
+
+On the full complex right translation permutes the group, so every edge
+labelled x lies on occ(x) cell sides, occ(x) being the number of occurrences
+of x^±1 across all relators.  When no relator holds a generator outside the
+subset with occ = 1, no cell has a free edge and the log is empty:
+`decide_finite` then builds no complex.  Before enumerating, it proves the
+group infinite when the exponent-sum matrix has rank over Q below the
+number of generators (the abelianization has positive free rank), and it
+builds no complex of more than `MAX_COMPLEX_SIDES` boundary sides; both
+end in an UNKNOWN with the reason.
 """
 
 from __future__ import annotations
 
-import random
+import heapq
 from collections import Counter
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cached_property
 from typing import Mapping, Optional, Sequence
 
-from .core import Letter, Presentation, Word, check_preconditions, word_support
+from .core import (Presentation, check_preconditions, free_edge_generators, word_stats,
+                   word_support)
 
 COLLAPSED = "COLLAPSED"
 STUCK = "STUCK"
@@ -60,15 +78,6 @@ class GroupTable:
             out[g] = tuple(inv)
         return out
 
-    def apply(self, element: int, letter: Letter) -> int:
-        table = self.forward if letter.sign > 0 else self.backward
-        return table[letter.gen][element]
-
-    def apply_word(self, element: int, word: Word) -> int:
-        for letter in word:
-            element = self.apply(element, letter)
-        return element
-
     def validate(self, p: Presentation) -> None:
         n = self.element_count
         for g in p.generators:
@@ -76,8 +85,13 @@ class GroupTable:
             if sorted(images) != list(range(n)):
                 raise CayleyError(f"action of {g!r} is not a permutation", code="BAD_TABLE")
         for idx, rel in enumerate(p.relators):
+            # compose the relator's action on all elements at once
+            image = list(range(n))
+            for letter in rel:
+                perm = self.forward[letter.gen] if letter.sign > 0 else self.backward[letter.gen]
+                image = [perm[e] for e in image]
             for e in range(n):
-                if self.apply_word(e, rel) != e:
+                if image[e] != e:
                     raise CayleyError(f"relator {idx} does not act trivially from {e}",
                                       code="BAD_TABLE")
 
@@ -221,27 +235,16 @@ def coset_enumeration(p: Presentation, limit: int) -> Optional[GroupTable]:
 
 CayleyEdge = tuple[int, str]  # (element, generator)
 
+# Most boundary sides (|G| times the total relator length) a complex may have
+# before `decide_finite` builds it; each side costs about a hundred bytes.
+MAX_COMPLEX_SIDES = 1_000_000
+
 
 @dataclass(frozen=True)
 class CayleyCell:
     element: int
     relator_index: int
     boundary: tuple[tuple[CayleyEdge, int], ...]  # (edge, direction)
-
-
-def _trace_boundary(table: GroupTable, element: int, rel: Word) -> tuple[tuple[CayleyEdge, int], ...]:
-    steps = []
-    cur = element
-    for letter in rel:
-        if letter.sign > 0:
-            steps.append(((cur, letter.gen), 1))
-            cur = table.apply(cur, letter)
-        else:
-            cur = table.apply(cur, letter)
-            steps.append(((cur, letter.gen), -1))
-    if cur != element:
-        raise CayleyError("relator lift does not close", code="BAD_TABLE")
-    return tuple(steps)
 
 
 @dataclass(frozen=True)
@@ -264,10 +267,26 @@ class CayleyComplex:
 
 
 def build_cayley_complex(table: GroupTable, p: Presentation) -> CayleyComplex:
+    n = table.element_count
+    # one shared tuple per edge, so boundaries hold references, not copies
+    edges = [{g: (element, g) for g in p.generators} for element in range(n)]
+    lifts = [[(l.gen, l.sign, (table.forward if l.sign > 0 else table.backward)[l.gen])
+              for l in rel] for rel in p.relators]
     cells = []
-    for element in range(table.element_count):
-        for r_idx, rel in enumerate(p.relators):
-            cells.append(CayleyCell(element, r_idx, _trace_boundary(table, element, rel)))
+    for element in range(n):
+        for r_idx, lift in enumerate(lifts):
+            steps = []
+            cur = element
+            for gen, sign, images in lift:
+                if sign > 0:
+                    steps.append((edges[cur][gen], 1))
+                    cur = images[cur]
+                else:
+                    cur = images[cur]
+                    steps.append((edges[cur][gen], -1))
+            if cur != element:
+                raise CayleyError("relator lift does not close", code="BAD_TABLE")
+            cells.append(CayleyCell(element, r_idx, tuple(steps)))
     return CayleyComplex(table, p, tuple(cells))
 
 
@@ -292,38 +311,52 @@ class CollapseLog:
         }
 
 
-def directed_collapse(cells: Sequence[CayleyCell], p: Presentation, subset,
-                      rng: random.Random | None = None) -> CollapseLog:
+def directed_collapse(cells: Sequence[CayleyCell], p: Presentation, subset) -> CollapseLog:
     """Greedily collapse 2-cells not carried by the subset across free edges
     whose generator is outside the subset; COLLAPSED when only carried cells
-    remain."""
+    remain.
+
+    Each step takes the lowest-index cell that has such a free edge, across
+    its first one in boundary order.  The cells enter a min-heap once, when
+    an edge of theirs first becomes free, and are still candidates when
+    popped, since a live cell never loses a free edge.  Any sub-sequence of
+    a complex's cells is accepted."""
     s = frozenset(subset)
     carried = {j for j, r in enumerate(p.relators) if word_support(r) <= s}
-    remaining = list(range(len(cells)))
-    multiplicity: Counter = Counter()
-    for ci in remaining:
-        for edge, _ in cells[ci].boundary:
-            multiplicity[edge] += 1
+    ids: dict[CayleyEdge, int] = {}
+    sides = [[ids.setdefault(edge, len(ids)) for edge, _ in cell.boundary] for cell in cells]
+    multiplicity = [0] * len(ids)
+    for side in sides:
+        for e in side:
+            multiplicity[e] += 1
+    # edge -> uncarried cells on it; None for edges whose generator is in the subset
+    on_edge: list[Optional[list[int]]] = [None if edge[1] in s else [] for edge in ids]
+    for ci, cell in enumerate(cells):
+        if cell.relator_index not in carried:
+            for e in sides[ci]:
+                if on_edge[e] is not None:
+                    on_edge[e].append(ci)
+    queued = [cell.relator_index not in carried and
+              any(multiplicity[e] == 1 and on_edge[e] is not None for e in side)
+              for cell, side in zip(cells, sides)]
+    heap = [ci for ci, q in enumerate(queued) if q]  # ascending, so already a heap
+    edge_of = list(ids)
     steps: list[CollapseStep] = []
-    while True:
-        candidates: list[tuple[int, CayleyEdge]] = []
-        for ci in remaining:
-            cell = cells[ci]
-            if cell.relator_index in carried:
-                continue
-            for edge, _ in cell.boundary:
-                if edge[1] in s:
-                    continue
-                if multiplicity[edge] == 1:
-                    candidates.append((ci, edge))
-                    break  # one free edge suffices for this cell
-        if not candidates:
-            break
-        ci, edge = candidates[0] if rng is None else rng.choice(candidates)
-        remaining.remove(ci)
-        for other_edge, _ in cells[ci].boundary:
-            multiplicity[other_edge] -= 1
-        steps.append(CollapseStep((cells[ci].element, cells[ci].relator_index), edge))
+    while heap:
+        ci = heapq.heappop(heap)
+        side = sides[ci]
+        free = next(e for e in side if multiplicity[e] == 1 and on_edge[e] is not None)
+        steps.append(CollapseStep((cells[ci].element, cells[ci].relator_index), edge_of[free]))
+        for e in side:
+            multiplicity[e] -= 1
+        for e in side:
+            if multiplicity[e] == 1 and on_edge[e]:
+                for cj in on_edge[e]:
+                    if not queued[cj]:
+                        queued[cj] = True
+                        heapq.heappush(heap, cj)
+    # every queued cell has been collapsed once the heap is empty
+    remaining = [ci for ci, q in enumerate(queued) if not q]
     residual = tuple((cells[ci].element, cells[ci].relator_index) for ci in remaining)
     verdict = COLLAPSED if all(cells[ci].relator_index in carried for ci in remaining) else STUCK
     return CollapseLog(tuple(steps), residual, verdict)
@@ -354,23 +387,62 @@ def replay_collapse(cells: Sequence[CayleyCell], subset,
     return True
 
 
+def abelian_free_rank(p: Presentation) -> int:
+    """Free rank of the abelianization: the number of generators minus the
+    rank over Q of the exponent-sum matrix (one row per relator)."""
+    rows = [[Fraction(word_stats(rel).exponent_sum.get(g, 0)) for g in p.generators]
+            for rel in p.relators]
+    rank = 0
+    for c in range(len(p.generators)):
+        pivot = next((i for i in range(rank, len(rows)) if rows[i][c]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        for i in range(rank + 1, len(rows)):
+            if rows[i][c]:
+                factor = rows[i][c] / rows[rank][c]
+                rows[i] = [a - factor * b for a, b in zip(rows[i], rows[rank])]
+        rank += 1
+    return len(p.generators) - rank
+
+
 @dataclass(frozen=True)
 class FiniteDecision:
     verdict: str  # DECIDED_DR, DECIDED_NOT_DR, UNKNOWN
     table: Optional[GroupTable]
     log: Optional[CollapseLog]
+    reason: Optional[str] = None  # why the verdict is UNKNOWN
 
 
 def decide_finite(p: Presentation, subset, limit: int) -> FiniteDecision:
     """Decide directed reducibility when the group is small enough to
     enumerate: collapse the full finite universal-cover complex.  The greedy
     collapse is order-independent, so COLLAPSED and STUCK are both
-    conclusive; an enumeration overflow is honest UNKNOWN."""
+    conclusive.  A group with infinite abelianization, an enumeration
+    overflow and a complex over `MAX_COMPLEX_SIDES` are honest UNKNOWNs.
+    No complex is built when no generator outside the subset occurs exactly
+    once in the relators (see the module docstring)."""
     s = check_preconditions(p, subset, CayleyError, cyclically_reduced=False)
+    rank = abelian_free_rank(p)
+    if rank:
+        return FiniteDecision(UNKNOWN, None, None,
+                              f"abelianization has free rank {rank}, so the group is "
+                              "infinite; coset enumeration skipped")
     table = coset_enumeration(p, limit)
     if table is None:
-        return FiniteDecision(UNKNOWN, None, None)
-    complex_ = build_cayley_complex(table, p)
-    log = directed_collapse(complex_.cells, p, s)
+        return FiniteDecision(UNKNOWN, None, None, f"enumeration exceeded {limit} cosets")
+    n = table.element_count
+    starters = free_edge_generators(p) - s
+    if any(word_support(r) & starters for r in p.relators):
+        sides = n * sum(len(r) for r in p.relators)
+        if sides > MAX_COMPLEX_SIDES:
+            return FiniteDecision(UNKNOWN, table, None,
+                                  f"covering complex has {sides} boundary sides, over the "
+                                  f"budget of {MAX_COMPLEX_SIDES}")
+        log = directed_collapse(build_cayley_complex(table, p).cells, p, s)
+    else:
+        residual = tuple((element, j) for element in range(n) for j in range(len(p.relators)))
+        carried = all(word_support(r) <= s for r in p.relators)
+        log = CollapseLog((), residual, COLLAPSED if carried else STUCK)
     verdict = DECIDED_DR if log.verdict == COLLAPSED else DECIDED_NOT_DR
     return FiniteDecision(verdict, table, log)

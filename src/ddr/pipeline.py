@@ -146,8 +146,7 @@ def _finite_test(p: Presentation, s: frozenset[str], digest: str, config: CheckC
     except CayleyError as exc:
         return None, _attempt("finite", "skipped", f"{exc.code}: {exc}")
     if decision.verdict == "UNKNOWN":
-        return None, _attempt("finite", "unknown",
-                              f"enumeration exceeded {config.coset_limit} cosets")
+        return None, _attempt("finite", "unknown", decision.reason)
     verdict = DECIDED_DR if decision.verdict == "DECIDED_DR" else DECIDED_NOT_DR
     cert = Certificate(digest, tuple(sorted(s)), verdict, "finite",
                        evidence={"group_order": decision.table.element_count,

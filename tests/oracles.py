@@ -1,9 +1,12 @@
 """Brute-force oracles, kept independent of the code paths they check."""
 
+import random
+from collections import Counter
 from fractions import Fraction
 from itertools import product
 
-from ddr.core import Word, inverse_word
+from ddr.cayley import COLLAPSED, STUCK, CollapseLog, CollapseStep
+from ddr.core import Word, inverse_word, word_support
 from ddr.diagram import SurfaceDiagram
 from ddr.whitehead import WhiteheadGraph
 
@@ -245,3 +248,34 @@ def vertex_count_from_links(d: SurfaceDiagram) -> int:
     corners = [(f, p) for f, face in enumerate(d.faces)
                for p in range(len(face.boundary))]
     return len({find(c) for c in corners})
+
+
+def rescan_collapse(cells, p, subset, rng: random.Random | None = None) -> CollapseLog:
+    """Reference directed collapse: after every step, rescan all remaining
+    cells for those not carried by the subset with a free edge outside it,
+    and collapse the lowest-index one across its first such edge, or, with
+    `rng`, a random candidate."""
+    s = frozenset(subset)
+    carried = {j for j, r in enumerate(p.relators) if word_support(r) <= s}
+    remaining = list(range(len(cells)))
+    multiplicity = Counter(edge for cell in cells for edge, _ in cell.boundary)
+    steps = []
+    while True:
+        candidates = []
+        for ci in remaining:
+            if cells[ci].relator_index in carried:
+                continue
+            for edge, _ in cells[ci].boundary:
+                if edge[1] not in s and multiplicity[edge] == 1:
+                    candidates.append((ci, edge))
+                    break
+        if not candidates:
+            break
+        ci, edge = candidates[0] if rng is None else rng.choice(candidates)
+        remaining.remove(ci)
+        for other, _ in cells[ci].boundary:
+            multiplicity[other] -= 1
+        steps.append(CollapseStep((cells[ci].element, cells[ci].relator_index), edge))
+    residual = tuple((cells[ci].element, cells[ci].relator_index) for ci in remaining)
+    verdict = COLLAPSED if all(cells[ci].relator_index in carried for ci in remaining) else STUCK
+    return CollapseLog(tuple(steps), residual, verdict)

@@ -1,12 +1,40 @@
 import random
+from collections import Counter
 from itertools import combinations
 
 import pytest
 
-from ddr.core import Letter, parse_presentation
-from ddr.cayley import (COLLAPSED, STUCK, CayleyError, GroupTable,
+from oracles import rescan_collapse
+from ddr import cayley
+from ddr.core import parse_presentation
+from ddr.cayley import (COLLAPSED, STUCK, CayleyError, GroupTable, abelian_free_rank,
                         build_cayley_complex, coset_enumeration,
                         decide_finite, directed_collapse, replay_collapse)
+from ddr.pipeline import CheckConfig, run_check
+
+
+def dihedral_plus_c(n):
+    return parse_presentation(f"gens: a b c\nrel: a^{n}\nrel: b^2\nrel: b a b a\nrel: c a b")
+
+
+def square_plus_c(m):
+    return parse_presentation(f"gens: a b c\nrel: a^{m}\nrel: b^{m}\nrel: a b a^-1 b^-1\n"
+                              "rel: c b a")
+
+
+def cyclic(n):
+    return parse_presentation(f"gens: a\nrel: a^{n}")
+
+
+# the finite-decide benchmark families at small orders
+SMALL_FINITE = ([dihedral_plus_c(n) for n in (2, 3, 4, 5, 6)]
+                + [square_plus_c(m) for m in (2, 3, 4)]
+                + [cyclic(n) for n in (1, 2, 5)])
+
+
+def all_subsets(p):
+    gens = p.generators
+    return [set(c) for k in range(len(gens) + 1) for c in combinations(gens, k)]
 
 
 @pytest.fixture(scope="session")
@@ -48,17 +76,21 @@ class TestEnumeration:
         p = parse_presentation("gens: s t\nrel: s^2\nrel: t^3\nrel: s t s t s t")
         assert coset_enumeration(p, 500).element_count == 12
 
-    def test_apply_word(self):
-        p = parse_presentation("gens: a\nrel: a^4")
-        table = coset_enumeration(p, 100)
-        e = table.apply_word(0, (Letter("a", 1), Letter("a", 1)))
-        assert table.apply_word(e, (Letter("a", -1), Letter("a", -1))) == 0
-
     def test_bad_table_detected(self):
         p = parse_presentation("gens: a\nrel: a^2")
         bad = GroupTable(("a",), {"a": (0, 0)})
         with pytest.raises(CayleyError):
             bad.validate(p)
+
+    def test_validate_names_first_failing_element(self):
+        p = parse_presentation("gens: a b\nrel: a^2\nrel: a b a^-1 b^-1")
+        # a swaps 0,1 and fixes 2,3; b = (1 2): the commutator moves 0 first
+        table = GroupTable(("a", "b"), {"a": (1, 0, 2, 3), "b": (0, 2, 1, 3)})
+        with pytest.raises(CayleyError, match="relator 1 does not act trivially from 0") as exc:
+            table.validate(p)
+        assert exc.value.code == "BAD_TABLE"
+        with pytest.raises(CayleyError, match="action of 'b' is not a permutation"):
+            GroupTable(("a", "b"), {"a": (1, 0), "b": (0, 0)}).validate(p)
 
 
 class TestComplex:
@@ -109,7 +141,7 @@ class TestCollapse:
             base = directed_collapse(cx.cells, p, s)
             rng = random.Random(77)
             for _ in range(50):
-                other = directed_collapse(cx.cells, p, s, rng=rng)
+                other = rescan_collapse(cx.cells, p, s, rng=rng)
                 assert other.residual == base.residual
                 assert other.verdict == base.verdict
 
@@ -152,6 +184,87 @@ class TestDecide:
     def test_torsion_not_dr(self):
         p = parse_presentation("gens: a\nrel: a^3")
         assert decide_finite(p, set(), 100).verdict == "DECIDED_NOT_DR"
+
+    def test_abelian_free_rank(self, fx1, fx4, klein4):
+        assert abelian_free_rank(klein4) == 0
+        assert abelian_free_rank(fx1) == 0
+        assert abelian_free_rank(fx4) == 2
+        assert abelian_free_rank(parse_presentation("gens: a b\nrel: a b a^-1 b^-1")) == 2
+        assert abelian_free_rank(parse_presentation("gens: a b\nrel: a^2 b^-3")) == 1
+        assert abelian_free_rank(parse_presentation("gens: a b\nrel: a^2 b\nrel: a^4 b^2")) == 1
+        assert abelian_free_rank(parse_presentation("gens: a b\nrel: a^2\nrel: b^3")) == 0
+
+    def test_infinite_abelianization_skips_enumeration(self, fx4, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("coset enumeration ran on a provably infinite group")
+        monkeypatch.setattr(cayley, "coset_enumeration", refuse)
+        d = decide_finite(fx4, {"a"}, 100)
+        assert d.verdict == "UNKNOWN" and d.table is None and d.log is None
+        assert d.reason == ("abelianization has free rank 2, so the group is infinite; "
+                            "coset enumeration skipped")
+
+    def test_finite_abelianization_still_enumerates(self):
+        # Z2 * Z3 is infinite with abelianization Z6: the screen lets it through
+        p = parse_presentation("gens: a b\nrel: a^2\nrel: b^3")
+        d = decide_finite(p, {"a"}, 100)
+        assert d.verdict == "UNKNOWN" and d.reason == "enumeration exceeded 100 cosets"
+
+    def test_complex_budget(self, monkeypatch):
+        monkeypatch.setattr(cayley, "MAX_COMPLEX_SIDES", 10)
+        d = decide_finite(dihedral_plus_c(3), {"b"}, 100)
+        assert d.verdict == "UNKNOWN" and d.log is None and d.table.element_count == 6
+        # 6 elements times relator lengths 3 + 2 + 4 + 3
+        assert d.reason == "covering complex has 72 boundary sides, over the budget of 10"
+        report = run_check(dihedral_plus_c(3), {"b"}, CheckConfig(tests=("finite",)))
+        assert report.certificates == []
+        assert report.attempts == [{"test": "finite", "status": "unknown",
+                                    "reason": d.reason}]
+        # no complex is built when no cell has a free edge to start from
+        assert decide_finite(cyclic(5), set(), 100).verdict == "DECIDED_NOT_DR"
+
+    def test_no_starting_free_edge_builds_nothing(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("complex built although no cell can collapse")
+        monkeypatch.setattr(cayley, "build_cayley_complex", refuse)
+        d = decide_finite(cyclic(7), set(), 100)
+        assert d.verdict == "DECIDED_NOT_DR" and d.log.steps == ()
+        assert d.log.residual == tuple((e, 0) for e in range(7))
+        # c occurs once but lies in the subset, so nothing can start either
+        d = decide_finite(dihedral_plus_c(4), {"c"}, 100)
+        assert d.verdict == "DECIDED_NOT_DR" and d.log.steps == ()
+        assert len(d.log.residual) == 8 * 4
+
+
+class TestWorklist:
+    def test_logs_match_rescan_oracle(self, fx1, klein4):
+        for p in SMALL_FINITE + [fx1, klein4]:
+            cx = build_cayley_complex(coset_enumeration(p, 3000), p)
+            for s in all_subsets(p):
+                log = directed_collapse(cx.cells, p, s)
+                assert log == rescan_collapse(cx.cells, p, s)
+                assert replay_collapse(cx.cells, s, log.steps)
+                if s != p.generator_set:
+                    assert decide_finite(p, s, 3000).log == log
+
+    def test_subcomplexes_match_rescan_oracle(self, fx1):
+        # the occurrence counts do not hold on a subcomplex; the worklist must not rely on them
+        rng = random.Random(19)
+        for p in [dihedral_plus_c(3), square_plus_c(3), fx1]:
+            cells = build_cayley_complex(coset_enumeration(p, 3000), p).cells
+            for _ in range(40):
+                sub = [c for c in cells if rng.random() < 0.6]
+                for s in all_subsets(p):
+                    assert directed_collapse(sub, p, s) == rescan_collapse(sub, p, s)
+
+    def test_initial_multiplicity_is_occurrence_count(self, fx1, klein4):
+        for p in SMALL_FINITE + [fx1, klein4]:
+            table = coset_enumeration(p, 3000)
+            occ = Counter(l.gen for rel in p.relators for l in rel)
+            multiplicity = Counter(edge for cell in build_cayley_complex(table, p).cells
+                                   for edge, _ in cell.boundary)
+            expected = {(e, g): occ[g] for e in range(table.element_count)
+                        for g in p.generators if occ[g]}
+            assert dict(multiplicity) == expected
 
 
 class TestSubcomplex:
