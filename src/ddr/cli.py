@@ -16,7 +16,7 @@ from pathlib import Path
 from . import __version__
 from .certificates import UNKNOWN, Report
 from .core import parse_presentation, presentation_digest
-from .diagram import REFUTES, directed_verdict, folding_edges, loads_diagram, validate_diagram
+from .diagram import REFUTES, _folding_scan, directed_verdict, loads_diagram, validate_diagram
 from .lot import (certify_lot, lot_presentation, lot_properties, parse_lot_document,
                   reorient_positive_tree, serialize_lot, sub_lots)
 from .pipeline import (TEST_ORDER, CheckConfig, check_diagram, derive_consequences,
@@ -125,8 +125,8 @@ def _cmd_diagram(args) -> int:
     print(f"diagram valid: chi={validation.euler_characteristic} "
           f"orientable={validation.orientable} sphere={validation.sphere} "
           f"disc={validation.disc}")
-    foldings = folding_edges(d, p)
-    print(f"folding edges: {[f.edge_id for f in foldings]}")
+    # the diagram is valid, so its foldings need no second validation
+    print(f"folding edges: {[f.edge_id for f in _folding_scan(d)]}")
     verdict = directed_verdict(d, p, subset)
     print(f"verdict: {verdict.verdict} (as {verdict.mode})")
     if verdict.verdict == REFUTES:

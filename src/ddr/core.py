@@ -19,6 +19,10 @@ CYCLIC = "cyclic"
 _NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*\Z")
 _TOKEN_RE = re.compile(r"([A-Za-z][A-Za-z0-9_]*)(\^(-?\d+))?\Z")
 
+# Total relator letters a presentation may expand to; the largest input the
+# tests and benchmark workloads use has 500.
+MAX_RELATOR_LETTERS = 20_000
+
 
 class PresentationError(ValueError):
     """Malformed presentation text or inconsistent presentation data."""
@@ -222,30 +226,32 @@ def free_edge_generators(p: Presentation) -> frozenset[str]:
     return frozenset(g for g, c in counts.items() if c == 1)
 
 
-def _parse_letter_tokens(tokens: Sequence[tuple[str, int, int]]) -> Word:
-    # tokens: (text, line, column); exponent shorthand g^k expands to |k| letters
-    out: list[Letter] = []
+def _token_powers(tokens: Sequence[tuple[str, int, int]]) -> list[tuple[Letter, int, int]]:
+    # tokens: (text, line, column) -> (letter, repeat count, column);
+    # exponent shorthand g^k stands for |k| copies of g or g^-1
+    out = []
     for text, line, col in tokens:
         m = _TOKEN_RE.match(text)
         if not m:
             raise PresentationError(f"cannot parse token {text!r}", code="SYNTAX",
                                     line=line, column=col)
         name, _, exp = m.groups()
-        if exp is None:
-            out.append(Letter(name, 1))
-            continue
-        k = int(exp)
+        k = 1 if exp is None else int(exp)
         if k == 0:
             raise PresentationError(f"zero exponent in token {text!r}", code="SYNTAX",
                                     line=line, column=col)
-        out.extend(Letter(name, 1 if k > 0 else -1) for _ in range(abs(k)))
-    return tuple(out)
+        out.append((Letter(name, 1 if k > 0 else -1), abs(k), col))
+    return out
+
+
+def _expand(powers: Iterable[tuple[Letter, int, int]]) -> Word:
+    return tuple(letter for letter, count, _ in powers for _ in range(count))
 
 
 def parse_word(text: str) -> Word:
     """Parse a standalone word like "a b^-1 c^2" (no generator checking)."""
     tokens = [(m.group(0), 1, m.start() + 1) for m in re.finditer(r"\S+", text)]
-    return _parse_letter_tokens(tokens)
+    return _expand(_token_powers(tokens))
 
 
 def _significant_lines(text: str):
@@ -262,10 +268,13 @@ def parse_presentation(text: str) -> Presentation:
     Grammar: `#` starts a comment; exactly one `gens:` line listing the
     generators; one or more `rel:` lines, each a nonempty relator given as
     whitespace-separated tokens `g`, `g^-1` or `g^k` (k a nonzero integer,
-    expanded letter by letter).
+    expanded letter by letter).  The relators may hold at most
+    MAX_RELATOR_LETTERS letters in all; the exponents are summed before any
+    token is expanded.
     """
     generators: tuple[str, ...] | None = None
     relators: list[Word] = []
+    letter_count = 0
     for lineno, tokens in _significant_lines(text):
         head, line_, col = tokens[0]
         if head == "gens:":
@@ -285,31 +294,23 @@ def parse_presentation(text: str) -> Presentation:
             if len(tokens) == 1:
                 raise PresentationError("empty relator", code="EMPTY_RELATOR",
                                         line=lineno, column=col)
-            word = _parse_letter_tokens(tokens[1:])
-            for letter, (tok, _, tcol) in zip(word, _expand_token_positions(tokens[1:])):
+            powers = _token_powers(tokens[1:])
+            for letter, count, tcol in powers:
                 if letter.gen not in generators:
                     raise PresentationError(f"undeclared generator {letter.gen!r}",
                                             code="UNDECLARED_GENERATOR", line=lineno, column=tcol)
-            relators.append(word)
+                letter_count += count
+                if letter_count > MAX_RELATOR_LETTERS:
+                    raise PresentationError(
+                        f"relators exceed {MAX_RELATOR_LETTERS} letters in all",
+                        code="TOO_MANY_LETTERS", line=lineno, column=tcol)
+            relators.append(_expand(powers))
         else:
             raise PresentationError(f"unrecognized directive {head!r}", code="SYNTAX",
                                     line=lineno, column=col)
     if generators is None:
         raise PresentationError("missing gens: line", code="SYNTAX")
     return Presentation(generators, tuple(relators))
-
-
-def _expand_token_positions(tokens):
-    # mirror the letter expansion so error positions line up with letters
-    for text, line, col in tokens:
-        m = _TOKEN_RE.match(text)
-        if not m:
-            yield (text, line, col)
-            continue
-        _, _, exp = m.groups()
-        count = 1 if exp is None else max(abs(int(exp)), 1)
-        for _ in range(count):
-            yield (text, line, col)
 
 
 def serialize_presentation(p: Presentation) -> str:

@@ -13,6 +13,13 @@ occurrence alignments fixed, the letter-for-letter mirror match around the
 edge is equivalent to that single equation; listing a face's walk backwards
 flips its sign and mirrors its positions but never changes which occurrence
 a side crosses, so the test does not depend on how face walks were chosen.)
+
+Every surface built here (the matched surface of a generator, a doubled
+disc, an orientation double cover) is a quotient of labeled polygons, each
+with its mirror image, under one gluing that numbers vertices and edges in
+gluing order.  Validation runs once per diagram: `validate_diagram`,
+`folding_edges` and `directed_verdict` each check their input, and the
+verdict scans for foldings on the diagram it has already validated.
 """
 
 from __future__ import annotations
@@ -180,19 +187,23 @@ def _face_sides(d: SurfaceDiagram) -> Mapping[int, list[tuple[int, int]]]:
     return sides
 
 
+def _side_pairs(d: SurfaceDiagram) -> list[tuple[int, tuple[int, int], tuple[int, int], int]]:
+    """Per edge with two face sides, in edge id order: (edge id, side, side,
+    relation), where the relation -d1*d2 is the spin ratio of the two faces
+    under which they traverse the edge in opposite directions."""
+    out = []
+    for eid, lst in sorted(_face_sides(d).items()):
+        if len(lst) == 2:
+            (f1, p1), (f2, p2) = lst
+            rel = -d.faces[f1].boundary[p1].direction * d.faces[f2].boundary[p2].direction
+            out.append((eid, (f1, p1), (f2, p2), rel))
+    return out
+
+
 def _orientable(d: SurfaceDiagram) -> bool:
-    # spin labels on faces: across an interior edge the two sides must
-    # traverse it in opposite directions after spin adjustment
-    sides = _face_sides(d)
+    # spin labels on faces: across an interior edge, spin(f2) = rel * spin(f1)
     constraints: dict[int, list[tuple[int, int]]] = {i: [] for i in range(len(d.faces))}
-    for eid, lst in sides.items():
-        if len(lst) != 2:
-            continue
-        (f1, p1), (f2, p2) = lst
-        d1 = d.faces[f1].boundary[p1].direction
-        d2 = d.faces[f2].boundary[p2].direction
-        # spin(f1)*d1 == -spin(f2)*d2
-        rel = -d1 * d2
+    for _, (f1, _), (f2, _), rel in _side_pairs(d):
         constraints[f1].append((f2, rel))
         constraints[f2].append((f1, rel))
     spin: dict[int, int] = {}
@@ -237,22 +248,28 @@ class FoldingEdge:
     side_b: tuple[int, int]
 
 
-def folding_edges(d: SurfaceDiagram, p: Presentation) -> tuple[FoldingEdge, ...]:
-    """Edges whose two sides lie on faces over the same relator index and
-    cross the same letter occurrence; a face may fold onto itself."""
+def _validated(d: SurfaceDiagram, p: Presentation) -> ValidationReport:
     report = validate_diagram(d, p)
     if not report.valid:
         raise DiagramError("invalid diagram: " + "; ".join(report.errors),
                            code="INVALID_DIAGRAM")
+    return report
+
+
+def folding_edges(d: SurfaceDiagram, p: Presentation) -> tuple[FoldingEdge, ...]:
+    """Edges whose two sides lie on faces over the same relator index and
+    cross the same letter occurrence; a face may fold onto itself."""
+    _validated(d, p)
+    return _folding_scan(d)
+
+
+def _folding_scan(d: SurfaceDiagram) -> tuple[FoldingEdge, ...]:
+    # the folding edges of a diagram that has already been validated
     out = []
-    for eid, lst in sorted(_face_sides(d).items()):
-        if len(lst) != 2:
-            continue
-        (f1, p1), (f2, p2) = lst
+    for eid, (f1, p1), (f2, p2), _ in _side_pairs(d):
         face1, face2 = d.faces[f1], d.faces[f2]
-        if face1.relator_index != face2.relator_index:
-            continue
-        if crossed_occurrence(face1, p1) == crossed_occurrence(face2, p2):
+        if (face1.relator_index == face2.relator_index
+                and crossed_occurrence(face1, p1) == crossed_occurrence(face2, p2)):
             out.append(FoldingEdge(eid, (f1, p1), (f2, p2)))
     return tuple(out)
 
@@ -279,10 +296,7 @@ def directed_verdict(d: SurfaceDiagram, p: Presentation, subset) -> DirectedVerd
     counterexample certificate.
     """
     s = frozenset(subset)
-    report = validate_diagram(d, p)
-    if not report.valid:
-        raise DiagramError("invalid diagram: " + "; ".join(report.errors),
-                           code="INVALID_DIAGRAM")
+    report = _validated(d, p)
     if report.sphere:
         mode = "sphere"
     elif report.disc:
@@ -296,57 +310,54 @@ def directed_verdict(d: SurfaceDiagram, p: Presentation, subset) -> DirectedVerd
         raise DiagramError("diagram is neither a sphere nor a disc",
                            code="UNSUPPORTED_SURFACE")
     outside = tuple(e.id for e in d.edges if e.label not in s)
-    foldings = folding_edges(d, p)
-    outside_foldings = tuple(f.edge_id for f in foldings
+    outside_foldings = tuple(f.edge_id for f in _folding_scan(d)
                              if d.edge_by_id[f.edge_id].label not in s)
     verdict = REFUTES if outside and not outside_foldings else CONSISTENT
     return DirectedVerdict(verdict, mode, outside, outside_foldings)
 
 
 def double_disc(d: SurfaceDiagram) -> SurfaceDiagram:
-    """Double a disc along its boundary: a sphere made of the disc and its
-    mirror image (signs flipped, walks reversed), boundary identified."""
+    """Double a disc along its boundary: the sphere glued from every face and
+    its mirror image.  The two sides of an interior edge are matched within
+    each copy, and the face side of a boundary edge to its mirror side; an
+    edge with no face side (a spur the boundary walk runs along both ways)
+    has nothing to glue and drops out.  Each face is followed by its mirror,
+    and vertices and edges are numbered in gluing order."""
     if len(d.boundary_cycles) != 1:
         raise DiagramError("not a disc: need exactly one boundary cycle", code="NOT_A_DISC")
     chi = d.vertex_count - len(d.edges) + len(d.faces)
     if chi != 1:
         raise DiagramError("not a disc: Euler characteristic is not 1", code="NOT_A_DISC")
-    boundary = d.boundary_cycles[0]
-    boundary_edge_ids = {step.edge for step in boundary}
-    boundary_vertices = set()
-    for step in boundary:
-        boundary_vertices.add(d.step_tail(step))
-        boundary_vertices.add(d.step_head(step))
-
-    vertex_copy: dict[int, int] = {}
-    next_vertex = d.vertex_count
-    for v in range(d.vertex_count):
-        if v in boundary_vertices:
-            vertex_copy[v] = v
-        else:
-            vertex_copy[v] = next_vertex
-            next_vertex += 1
-    edge_copy: dict[int, int] = {}
-    next_edge = max((e.id for e in d.edges), default=-1) + 1
-    new_edges = list(d.edges)
-    for e in d.edges:
-        if e.id in boundary_edge_ids:
-            edge_copy[e.id] = e.id
-        else:
-            edge_copy[e.id] = next_edge
-            new_edges.append(DiagramEdge(next_edge, e.label,
-                                         vertex_copy[e.tail], vertex_copy[e.head]))
-            next_edge += 1
-    mirrored = []
-    for face in d.faces:
-        steps = tuple(BoundaryStep(edge_copy[s.edge], -s.direction)
-                      for s in reversed(face.boundary))
-        mirrored.append(DiagramFace(face.relator_index, -face.sign, steps))
-    return SurfaceDiagram(next_vertex, tuple(new_edges),
-                          d.faces + tuple(mirrored), ())
+    base = _face_polygons(d)
+    matches = []
+    for sides in _face_sides(d).values():
+        if len(sides) == 2:
+            matches += [tuple(_sheet_side(base, side, spin) for side in sides) for spin in (1, -1)]
+        elif len(sides) == 1:
+            matches.append((_sheet_side(base, sides[0], 1), _sheet_side(base, sides[0], -1)))
+    return _glue_polygons(_with_mirrors(base), matches)
 
 
 # --- polygon gluing -------------------------------------------------------
+
+def _face_polygons(d: SurfaceDiagram) -> list[tuple[int, int, Word]]:
+    return [(face.relator_index, face.sign, d.face_word(face)) for face in d.faces]
+
+
+def _with_mirrors(polys: Sequence[tuple[int, int, Word]]) -> list[tuple[int, int, Word]]:
+    """Polygon k as polygon 2k, followed by its mirror image (sign flipped,
+    word inverted) as polygon 2k+1."""
+    return [poly for rel_idx, sign, word in polys
+            for poly in ((rel_idx, sign, word), (rel_idx, -sign, inverse_word(word)))]
+
+
+def _sheet_side(polys: Sequence[tuple[int, int, Word]], side: tuple[int, int],
+                spin: int) -> tuple[int, int]:
+    # side (k, pos) of polygon k on its plain (+1) or mirrored (-1) copy in
+    # _with_mirrors(polys); the mirror of position pos sits at n-1-pos
+    k, pos = side
+    return (2 * k, pos) if spin > 0 else (2 * k + 1, len(polys[k][2]) - 1 - pos)
+
 
 def _glue_polygons(polys: Sequence[tuple[int, int, Word]],
                    matches: Sequence[tuple[tuple[int, int], tuple[int, int]]],
@@ -430,32 +441,6 @@ def _glue_polygons(polys: Sequence[tuple[int, int, Word]],
     return SurfaceDiagram(len(vertex_ids), tuple(edges), tuple(faces), ())
 
 
-def _components(d: SurfaceDiagram) -> list[list[int]]:
-    # connected components of the face set, linked by shared edges
-    sides = _face_sides(d)
-    adj: dict[int, set[int]] = {i: set() for i in range(len(d.faces))}
-    for lst in sides.values():
-        for (f1, _), (f2, _) in zip(lst, lst[1:]):
-            adj[f1].add(f2)
-            adj[f2].add(f1)
-    out = []
-    seen: set[int] = set()
-    for root in range(len(d.faces)):
-        if root in seen:
-            continue
-        comp = [root]
-        seen.add(root)
-        stack = [root]
-        while stack:
-            for nxt in adj[stack.pop()]:
-                if nxt not in seen:
-                    seen.add(nxt)
-                    comp.append(nxt)
-                    stack.append(nxt)
-        out.append(sorted(comp))
-    return out
-
-
 def _restrict_to_faces(d: SurfaceDiagram, face_indices: Iterable[int]) -> SurfaceDiagram:
     keep = sorted(set(face_indices))
     used_edges = {s.edge for f in keep for s in d.faces[f].boundary}
@@ -473,29 +458,10 @@ def orientation_double_cover(d: SurfaceDiagram) -> SurfaceDiagram:
     by regluing one plain and one mirrored copy of every face."""
     if d.boundary_cycles:
         raise DiagramError("orientation cover needs a closed surface", code="NOT_CLOSED")
-    sides = _face_sides(d)
-    # polygon indices: face f spins +1 -> 2f, spin -1 (mirrored) -> 2f+1
-    polys: list[tuple[int, int, Word]] = []
-    for face in d.faces:
-        word = d.face_word(face)
-        polys.append((face.relator_index, face.sign, word))
-        polys.append((face.relator_index, -face.sign, inverse_word(word)))
-
-    def lifted_side(f: int, pos: int, spin: int) -> tuple[int, int]:
-        n = len(d.faces[f].boundary)
-        if spin > 0:
-            return (2 * f, pos)
-        return (2 * f + 1, n - 1 - pos)
-
-    matches = []
-    for eid in sorted(sides):
-        (f1, p1), (f2, p2) = sides[eid]
-        d1 = d.faces[f1].boundary[p1].direction
-        d2 = d.faces[f2].boundary[p2].direction
-        for spin1 in (1, -1):
-            spin2 = -spin1 * d1 * d2
-            matches.append((lifted_side(f1, p1, spin1), lifted_side(f2, p2, spin2)))
-    return _glue_polygons(polys, matches)
+    base = _face_polygons(d)
+    matches = [(_sheet_side(base, side1, spin), _sheet_side(base, side2, spin * rel))
+               for _, side1, side2, rel in _side_pairs(d) for spin in (1, -1)]
+    return _glue_polygons(_with_mirrors(base), matches)
 
 
 def matched_surface(p: Presentation, x: str) -> SurfaceDiagram:
@@ -521,34 +487,18 @@ def matched_surface(p: Presentation, x: str) -> SurfaceDiagram:
         if not r:
             raise DiagramError(f"relator {idx} is empty", code="EMPTY_RELATOR")
 
-    polys: list[tuple[int, int, Word]] = []
-    for idx, rel in enumerate(p.relators):
-        polys.append((idx, 1, rel))
-        polys.append((idx, -1, inverse_word(rel)))
-
-    def plus_side(rel_idx: int, pos: int) -> tuple[int, int]:
-        return (2 * rel_idx, pos)
-
-    def minus_side(rel_idx: int, pos: int) -> tuple[int, int]:
-        # the mirror of position pos sits at n-1-pos on the inverse polygon
-        return (2 * rel_idx + 1, len(p.relators[rel_idx]) - 1 - pos)
-
+    base = [(idx, 1, rel) for idx, rel in enumerate(p.relators)]
     matches = []
     for g in p.generators:
         occurrences = [(idx, pos) for idx, rel in enumerate(p.relators)
                        for pos, letter in enumerate(rel) if letter.gen == g]
-        if not occurrences:
-            continue
-        total = len(occurrences)
-        if total == 1:
-            idx, pos = occurrences[0]
-            matches.append((plus_side(idx, pos), minus_side(idx, pos)))
-            continue
-        for n_pos, (idx, pos) in enumerate(occurrences):
-            jdx, qos = occurrences[(n_pos + 1) % total]
-            matches.append((plus_side(idx, pos), minus_side(jdx, qos)))
+        # each occurrence meets the mirror of the next one, cyclically; a
+        # lone occurrence thus meets its own mirror
+        for n_pos, side in enumerate(occurrences):
+            mate = occurrences[(n_pos + 1) % len(occurrences)]
+            matches.append((_sheet_side(base, side, 1), _sheet_side(base, mate, -1)))
 
-    glued = _glue_polygons(polys, matches)
+    glued = _glue_polygons(_with_mirrors(base), matches)
     surface = _component_with_label(glued, x)
     if not _orientable(surface):
         cover = orientation_double_cover(surface)
@@ -557,13 +507,25 @@ def matched_surface(p: Presentation, x: str) -> SurfaceDiagram:
 
 
 def _component_with_label(d: SurfaceDiagram, x: str) -> SurfaceDiagram:
-    target = next((e.id for e in d.edges if e.label == x), None)
-    if target is None:
-        raise DiagramError(f"no {x!r}-labeled edge in the surface", code="ABSENT_GENERATOR")
-    for comp in _components(d):
-        sub = _restrict_to_faces(d, comp)
-        if any(e.label == x for e in sub.edges):
-            return sub
+    # walk the face components (faces linked by shared edges) in order of
+    # lowest face index; restrict to the first that carries an x-labeled edge
+    sides = _face_sides(d)
+    seen: set[int] = set()
+    for root in range(len(d.faces)):
+        if root in seen:
+            continue
+        seen.add(root)
+        comp, stack, has_x = [root], [root], False
+        while stack:
+            for step in d.faces[stack.pop()].boundary:
+                has_x = has_x or d.edge_by_id[step.edge].label == x
+                for f, _ in sides[step.edge]:
+                    if f not in seen:
+                        seen.add(f)
+                        comp.append(f)
+                        stack.append(f)
+        if has_x:
+            return _restrict_to_faces(d, comp)
     raise DiagramError(f"no component contains {x!r}", code="ABSENT_GENERATOR")
 
 

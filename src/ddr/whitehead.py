@@ -21,7 +21,7 @@ cycle so far; `reduced_girth` is the minimum under unit weights.
 from __future__ import annotations
 
 import heapq
-from collections import deque
+from collections import defaultdict, deque
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -168,37 +168,35 @@ class ForestReport:
 
 def is_forest(view: GraphView) -> ForestReport:
     """Multigraph forest test; a parallel pair counts as a length-2 cycle,
-    a loop as a length-1 cycle."""
+    a loop as a length-1 cycle.  A union-find meets the edges in order; the
+    first whose ends are already joined closes a cycle, and the witness is
+    the tree path between its ends, then that edge."""
     graph = view.parent
-    adj: dict[WVertex, list[tuple[WVertex, int]]] = {v: [] for v in view.vertex_set()}
+    root: dict[WVertex, WVertex] = {}  # a vertex absent from it is a root
+
+    def find(v: WVertex) -> WVertex:
+        while v in root:  # path halving
+            root[v] = v = root.get(root[v], root[v])
+        return v
+
+    tree: list[int] = []
     for eid in view.edge_ids():
         e = graph.edges[eid]
-        if e.is_loop:
-            return ForestReport(False, (eid,))
-        if _would_cycle(adj, e.a, e.b):
-            path = _tree_path(adj, e.a, e.b)
-            return ForestReport(False, tuple(path + [eid]))
-        adj[e.a].append((e.b, eid))
-        adj[e.b].append((e.a, eid))
+        ra, rb = find(e.a), find(e.b)
+        if ra == rb:
+            return ForestReport(False, tuple(_tree_path(graph, tree, e.a, e.b) + [eid]))
+        root[ra] = rb
+        tree.append(eid)
     return ForestReport(True, None)
 
 
-def _would_cycle(adj, u, v) -> bool:
-    seen = {u}
-    stack = [u]
-    while stack:
-        cur = stack.pop()
-        if cur == v:
-            return True
-        for nxt, _ in adj[cur]:
-            if nxt not in seen:
-                seen.add(nxt)
-                stack.append(nxt)
-    return False
-
-
-def _tree_path(adj, u, v) -> list[int]:
-    # BFS through already-accepted edges; returns the edge id path u..v
+def _tree_path(graph: WhiteheadGraph, tree: list[int], u: WVertex, v: WVertex) -> list[int]:
+    # BFS through the tree edges; returns the edge id path u..v
+    adj: dict[WVertex, list[tuple[WVertex, int]]] = defaultdict(list)
+    for eid in tree:
+        e = graph.edges[eid]
+        adj[e.a].append((e.b, eid))
+        adj[e.b].append((e.a, eid))
     prev: dict[WVertex, tuple[WVertex, int]] = {u: (u, -1)}
     queue = deque([u])
     while queue:
@@ -346,15 +344,13 @@ def shortest_reduced_cycle_in_range(graph: WhiteheadGraph, min_len: int,
 
 
 def _closed_walk_dfs(graph, walk: list[int], target: int) -> Optional[tuple[int, ...]]:
+    last = walk[-1]
     if len(walk) == target:
-        last, first = walk[-1], walk[0]
-        if graph.head(last) == graph.tail(first) and first != graph.reverse(last):
+        first = walk[0]
+        if graph.tail_index[last ^ 1] == graph.tail_index[first] and first != last ^ 1:
             return tuple(walk)
         return None
-    last = walk[-1]
-    for nxt in graph.darts_from[graph.head(last)]:
-        if nxt == graph.reverse(last):
-            continue
+    for nxt in graph.successors[last]:
         walk.append(nxt)
         found = _closed_walk_dfs(graph, walk, target)
         if found is not None:

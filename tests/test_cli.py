@@ -4,7 +4,7 @@ from collections import Counter
 import pytest
 
 from conftest import FIXTURES
-from ddr import cli, lot, pipeline, smallcancel, weights, whitehead
+from ddr import cli, core, diagram, lot, pipeline, smallcancel, weights, whitehead
 from ddr.certificates import Report
 from ddr.cli import main
 from ddr.pipeline import CheckConfig, derive_consequences, run_check
@@ -187,6 +187,23 @@ class TestWorkDoneOnce:
         assert "aspherical" in capsys.readouterr().out
 
 
+    def test_check_diagram_is_validated_once(self, monkeypatch, capsys):
+        counts = Counter()
+        _count_calls(monkeypatch, counts, diagram, "validate_diagram", cli)
+        assert main(["check", str(FIXTURES / "fx2.pres"), "--away-from", "a,b",
+                     "--diagram", str(FIXTURES / "fx2_disc.json")]) == 1
+        assert counts == {"validate_diagram": 1}
+        capsys.readouterr()
+
+    def test_diagram_command_validates_at_most_twice(self, monkeypatch, capsys):
+        counts = Counter()
+        _count_calls(monkeypatch, counts, diagram, "validate_diagram", cli)
+        assert main(["diagram", str(FIXTURES / "fx2_disc.json"),
+                     "--pres", str(FIXTURES / "fx2.pres"), "--away-from", "a,b"]) == 1
+        assert counts["validate_diagram"] <= 2
+        capsys.readouterr()
+
+
 class TestCommandLine:
     def test_check_exit_codes(self, capsys):
         assert main(["check", str(FIXTURES / "fx1.pres"), "--away-from", "a,b"]) == 0
@@ -245,6 +262,13 @@ class TestCommandLine:
         assert main(["check", str(bad)]) == 3
         assert main(["check", str(tmp_path / "missing.pres")]) == 3
         capsys.readouterr()
+
+    def test_letter_cap_exits_three(self, monkeypatch, tmp_path, capsys):
+        monkeypatch.setattr(core, "MAX_RELATOR_LETTERS", 2)
+        long = tmp_path / "long.pres"
+        long.write_text("gens: a\nrel: a^3\n")
+        assert main(["check", str(long)]) == 3
+        assert "exceed 2 letters" in capsys.readouterr().err
 
     def test_unknown_sublot_name(self, capsys):
         assert main(["lot", str(FIXTURES / "fxl2.lot"), "--sublot", "Q"]) == 3

@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from ddr import core
 from ddr.core import (CYCLIC, FREE, Letter, Presentation, PresentationError,
                       free_edge_generators, inverse_word, is_cyclically_reduced,
                       normalize_word, parse_presentation, parse_word,
@@ -42,6 +43,20 @@ class TestParse:
         with pytest.raises(PresentationError) as exc:
             parse_presentation("gens: a\nrel: a b")
         assert exc.value.code == "UNDECLARED_GENERATOR"
+
+    def test_undeclared_generator_column_after_exponent(self):
+        with pytest.raises(PresentationError) as exc:
+            parse_presentation("gens: a\nrel: a^3 b^2 a")
+        assert (exc.value.code, exc.value.line, exc.value.column) == ("UNDECLARED_GENERATOR", 2, 10)
+        assert "undeclared generator 'b'" in str(exc.value)
+
+    def test_letter_cap_counts_exponents_across_relators(self, monkeypatch):
+        monkeypatch.setattr(core, "MAX_RELATOR_LETTERS", 4)
+        assert len(parse_presentation("gens: a b\nrel: a^2 b\nrel: a").relators[0]) == 3
+        with pytest.raises(PresentationError) as exc:
+            parse_presentation("gens: a b\nrel: a^2 b\nrel: a b^-1")
+        assert (exc.value.code, exc.value.line, exc.value.column) == ("TOO_MANY_LETTERS", 3, 8)
+        assert "exceed 4 letters" in str(exc.value)
 
     def test_empty_relator_rejected(self):
         with pytest.raises(PresentationError) as exc:

@@ -26,6 +26,20 @@ def triangle_sphere(p):
     return SurfaceDiagram(3, edges, (front, back))
 
 
+def open_up(sphere, f, spur_label=None):
+    """Remove face f from a sphere: its boundary becomes the boundary cycle
+    of a disc, followed by a spur out and back when a label is given.  The
+    rest is a genuine disc when the face's boundary meets no vertex twice."""
+    cycle = sphere.faces[f].boundary
+    edges, vertices = sphere.edges, sphere.vertex_count
+    if spur_label is not None:
+        spur = max(e.id for e in edges) + 1
+        edges += (DiagramEdge(spur, spur_label, sphere.step_tail(cycle[0]), vertices),)
+        cycle += (BoundaryStep(spur, 1), BoundaryStep(spur, -1))
+        vertices += 1
+    return SurfaceDiagram(vertices, edges, sphere.faces[:f] + sphere.faces[f + 1:], (cycle,))
+
+
 class TestValidate:
     def test_triangle_double_is_sphere(self):
         p = parse_presentation("gens: a b c\nrel: a b c")
@@ -254,6 +268,40 @@ class TestDouble:
                 continue
             assert validate_diagram(double_disc(disc), p).sphere
             count += 1
+
+    def test_multi_face_discs_double_to_spheres(self, fx2, fx2_disc):
+        rng = random.Random(43)
+        spheres = [(fx2, double_disc(fx2_disc))]
+        while len(spheres) < 40:
+            p = random_presentation(rng, max_gens=3, max_rels=2, max_len=6)
+            free = free_edge_generators(p)
+            candidates = [g for g in p.generators
+                          if g not in free and any(l.gen == g for r in p.relators for l in r)]
+            if candidates:
+                d = matched_surface(p, rng.choice(candidates))
+                if validate_diagram(d, p).sphere:
+                    spheres.append((p, d))
+        for p, sphere in spheres:
+            embedded = [f for f, face in enumerate(sphere.faces)
+                        if len({sphere.step_tail(s) for s in face.boundary}) == len(face.boundary)]
+            f = rng.choice(embedded)
+            disc = open_up(sphere, f)
+            assert validate_diagram(disc, p).disc
+            doubled = double_disc(disc)
+            assert validate_diagram(doubled, p).sphere
+            assert len(doubled.faces) == 2 * (len(sphere.faces) - 1)
+            # a spur has no face side: it drops out and changes nothing else
+            spurred = open_up(sphere, f, p.generators[0])
+            assert validate_diagram(spurred, p).disc
+            assert double_disc(spurred) == doubled
+
+    def test_spur_disc(self):
+        p = parse_presentation("gens: a b c d\nrel: a b c")
+        disc = open_up(triangle_sphere(p), 1, "d")
+        assert validate_diagram(disc, p).disc
+        doubled = double_disc(disc)
+        assert validate_diagram(doubled, p).sphere
+        assert sorted(e.label for e in doubled.edges) == ["a", "b", "c"]
 
     def test_not_a_disc_rejected(self):
         p = parse_presentation("gens: a b c\nrel: a b c")
