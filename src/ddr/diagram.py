@@ -227,6 +227,8 @@ def _orientable(d: SurfaceDiagram) -> bool:
 def _connected(d: SurfaceDiagram) -> bool:
     if d.vertex_count == 0:
         return len(d.edges) == 0 and len(d.faces) == 0
+    if d.vertex_count > len(d.edges) + 1:
+        return False  # a connected graph on V vertices has at least V - 1 edges
     adj: dict[int, list[int]] = {v: [] for v in range(d.vertex_count)}
     for e in d.edges:
         adj[e.tail].append(e.head)
@@ -557,7 +559,8 @@ def diagram_from_json_dict(obj: dict) -> SurfaceDiagram:
         cycles = tuple(tuple(BoundaryStep(int(s["edge"]), int(s["dir"])) for s in cycle)
                        for cycle in obj.get("boundaryCycles", []))
         return SurfaceDiagram(int(obj["vertexCount"]), edges, faces, cycles)
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        # int() raises ValueError on NaN or text, OverflowError on infinity
         raise DiagramError(f"malformed diagram JSON: {exc}", code="SYNTAX") from exc
 
 

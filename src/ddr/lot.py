@@ -1,5 +1,5 @@
 """Labeled oriented trees: parsing, presentations, sub-LOT lattice,
-collapse/insert, reorientation search, and the collapse-transfer certificate.
+collapse, reorientation search, and the collapse-transfer certificate.
 
 A LOT is a tree with oriented edges labeled by vertices.  Each edge
 (source u1, target u2, label u3) contributes the relator u1 u3 u2^-1 u3^-1,
@@ -14,8 +14,7 @@ from functools import cached_property
 from typing import Mapping
 
 from .certificates import CERTIFIED_DR_AWAY_FROM, UNKNOWN, Certificate
-from .core import Letter, Presentation, presentation_digest, subpresentation, word_stats
-from .pipeline import presentation_dr
+from .core import Letter, Presentation, presentation_digest
 # search_weights is unused here; bench/test_harness.py checks its tracer rebinds it
 from .weights import search_weights
 from .whitehead import (NEGATIVE, POSITIVE, GraphView, build_whitehead, is_forest,
@@ -288,46 +287,6 @@ def collapse(lot: LOT, t: SubLot, y: str) -> LOT:
     return LOT(tuple(vertices), edges)
 
 
-def insert(lbar: LOT, y: str, t: LOT,
-           endpoint_attachment: Mapping[int, str],
-           label_attachment: Mapping[int, str]) -> LOT:
-    """Reverse a collapse: remove y and splice in the tree t.
-
-    The attachments say, per lbar edge index, which t-vertex replaces y as
-    an endpoint and which replaces y as a label; both maps must cover
-    exactly the edges that mention y in that role.
-    """
-    if y not in lbar.vertex_set:
-        raise LotError(f"{y!r} is not a vertex", code="BAD_VERTEX")
-    collision = (lbar.vertex_set - {y}) & t.vertex_set
-    if collision:
-        raise LotError(f"vertex names {sorted(collision)} collide with the inserted tree",
-                       code="NAME_COLLISION")
-    need_endpoint = {i for i, e in enumerate(lbar.edges) if y in (e.source, e.target)}
-    need_label = {i for i, e in enumerate(lbar.edges) if e.label == y}
-    if set(endpoint_attachment) != need_endpoint or set(label_attachment) != need_label:
-        raise LotError("attachment underspecified or mentions edges without y",
-                       code="ATTACHMENT_UNDERSPECIFIED")
-    for v in list(endpoint_attachment.values()) + list(label_attachment.values()):
-        if v not in t.vertex_set:
-            raise LotError(f"attachment vertex {v!r} is not in the inserted tree",
-                           code="ATTACHMENT_UNDERSPECIFIED")
-    vertices: list[str] = []
-    for v in lbar.vertices:
-        if v == y:
-            vertices.extend(t.vertices)
-        else:
-            vertices.append(v)
-    edges = []
-    for i, e in enumerate(lbar.edges):
-        source = endpoint_attachment[i] if e.source == y else e.source
-        target = endpoint_attachment[i] if e.target == y else e.target
-        label = label_attachment[i] if e.label == y else e.label
-        edges.append(LotEdge(source, target, label))
-    edges.extend(t.edges)
-    return LOT(tuple(vertices), tuple(edges))
-
-
 def reorient_positive_tree(lot: LOT) -> LOT:
     """Find a reorientation whose presentation has a positive Whitehead
     graph that is a forest.
@@ -412,11 +371,11 @@ def certify_lot(lot: LOT, t: SubLot) -> Certificate:
     transfer the conclusion back: the full presentation is directed away
     from the sub-LOT's vertex set.
 
-    When the sub-LOT's own presentation is diagrammatically reducible the
-    certificate also records that the full complex is aspherical.
+    The certificate carries no consequences; `derive_consequences` adds
+    them, asphericity included when the sub-LOT's own presentation passes
+    the reducibility ladder.
     """
-    p = lot_presentation(lot)
-    digest = presentation_digest(p)
+    digest = presentation_digest(lot_presentation(lot))
     s = tuple(sorted(t.vertex_subset))
 
     def failure(reason: str, **extra) -> Certificate:
@@ -443,12 +402,7 @@ def certify_lot(lot: LOT, t: SubLot) -> Certificate:
     if not lot_properties(collapsed).compressed:
         return failure("the collapsed LOT is not compressed",
                        collapsed=serialize_lot(collapsed))
-    pbar = lot_presentation(collapsed)
-    exp_sums = [word_stats(r).total_exponent_sum for r in pbar.relators]
-    if any(e != 0 for e in exp_sums):
-        return failure("collapsed relators do not all have exponent sum zero")
-
-    graph = build_whitehead(pbar)
+    graph = build_whitehead(lot_presentation(collapsed))
     forest_pos = is_forest(GraphView(graph, POSITIVE))
     forest_neg = is_forest(GraphView(graph, NEGATIVE))
     girth = reduced_girth(graph)
@@ -468,19 +422,9 @@ def certify_lot(lot: LOT, t: SubLot) -> Certificate:
         return failure("collapsed LOT fails both the forest test and the girth bound",
                        **evidence)
 
-    # the sub-LOT's own presentation is the one its vertex set carries
-    dr_sub = presentation_dr(subpresentation(p, t.vertex_subset))
-    certificate = Certificate(digest, s, CERTIFIED_DR_AWAY_FROM, "lot_collapse",
-                              evidence=evidence)
-    certificate.notes = ("transfer: collapsing the sub-LOT to a single vertex induces a "
-                         "homomorphism of presentations; reducibility directed away from "
-                         "the collapse vertex pulls back to the sub-LOT's vertex set.",)
-    if dr_sub is not None:
-        certificate.evidence["sublot_presentation_dr"] = dr_sub
-        certificate.consequences.append({
-            "kind": "aspherical",
-            "statement": "the presentation complex is aspherical (the sub-LOT's own "
-                         "presentation is diagrammatically reducible)",
-        })
-    return certificate
+    return Certificate(digest, s, CERTIFIED_DR_AWAY_FROM, "lot_collapse", evidence=evidence,
+                       notes=("transfer: collapsing the sub-LOT to a single vertex induces "
+                              "a homomorphism of presentations; reducibility directed away "
+                              "from the collapse vertex pulls back to the sub-LOT's vertex "
+                              "set.",))
 

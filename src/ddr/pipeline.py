@@ -9,14 +9,18 @@ finite-group decision.  Every test has the signature
 conclusive answer wins unless run_all is set; failures stay visible in the
 report's attempt list, and UNKNOWN is an honest verdict.
 
-`presentation_dr` is the one ladder of cheap reducibility tests.  It upgrades
-a positive certificate to asphericity here, and `ddr.lot` embeds its result
-as the sub-LOT's evidence.
+`presentation_dr` is the ladder of cheap reducibility tests: the registry's
+forest, s44 and weight tests on the empty subset.  `derive_consequences`
+runs it on the sub-presentation a positive certificate's subset carries and
+upgrades the certificate to asphericity when it succeeds; for a LOT
+certificate that sub-presentation is the sub-LOT's own, and the ladder's
+result is embedded in the certificate's evidence.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from fractions import Fraction
 
 from . import __version__
 from .certificates import (CERTIFIED_DR_ALL_DIRECTIONS, CERTIFIED_DR_AWAY_FROM,
@@ -37,13 +41,6 @@ def _attempt(name: str, status: str, reason: str | None = None) -> dict:
     if reason:
         out["reason"] = reason
     return out
-
-
-def _forest_side(p: Presentation) -> str | None:
-    """The side of the Whitehead graph, positive first, that is a forest."""
-    graph = build_whitehead(p)
-    return next((mode for mode in (POSITIVE, NEGATIVE)
-                 if is_forest(GraphView(graph, mode)).forest), None)
 
 
 def _free_edge_test(p: Presentation, s: frozenset[str], digest: str, config: CheckConfig):
@@ -98,7 +95,9 @@ def _forest_test(p: Presentation, s: frozenset[str], digest: str, config: CheckC
     if len(s) > 1:
         return None, _attempt("forest", "unknown",
                               "conclusion covers the empty set and single generators only")
-    side = _forest_side(p)
+    graph = build_whitehead(p)
+    side = next((mode for mode in (POSITIVE, NEGATIVE)
+                 if is_forest(GraphView(graph, mode)).forest), None)
     if side is None:
         return None, _attempt("forest", "unknown", "neither side of the graph is a forest")
     cert = Certificate(digest, tuple(sorted(s)), CERTIFIED_DR_AWAY_FROM, "forest",
@@ -118,25 +117,21 @@ def _s44_test(p: Presentation, s: frozenset[str], digest: str, config: CheckConf
 
 def _weight_test(p: Presentation, s: frozenset[str], digest: str, config: CheckConfig):
     try:
-        if config.weights is not None:
-            wcert = verify_weight_test(p, s, config.weights)
-            if wcert.passed:
-                cert = Certificate(digest, tuple(sorted(s)), CERTIFIED_DR_AWAY_FROM,
-                                   "weight", evidence={"weights": wcert.to_json_dict(),
-                                                       "source": "supplied"})
-                return cert, _attempt("weight", "certified")
-            failed = [r.condition for r in wcert.reports if not r.passed]
-            return None, _attempt("weight", "unknown",
-                                  f"supplied weights fail conditions {failed}")
-        wcert = search_weights(p, s)
+        if config.weights is None:
+            source, wcert = "search", search_weights(p, s)
+        else:
+            source, wcert = "supplied", verify_weight_test(p, s, config.weights)
     except WeightError as exc:
         return None, _attempt("weight", "skipped", f"{exc.code}: {exc}")
     if wcert is None:
         return None, _attempt("weight", "unknown",
                               "linear program infeasible; the test is sufficient, "
                               "not necessary, so this refutes nothing")
+    if not wcert.passed:
+        failed = [r.condition for r in wcert.reports if not r.passed]
+        return None, _attempt("weight", "unknown", f"supplied weights fail conditions {failed}")
     cert = Certificate(digest, tuple(sorted(s)), CERTIFIED_DR_AWAY_FROM, "weight",
-                       evidence={"weights": wcert.to_json_dict(), "source": "search"})
+                       evidence={"weights": wcert.to_json_dict(), "source": source})
     return cert, _attempt("weight", "certified")
 
 
@@ -181,29 +176,23 @@ class CheckConfig:
 
 def presentation_dr(p: Presentation) -> dict | None:
     """Evidence that p is diagrammatically reducible (directed away from the
-    empty set) from the cheap tests: no relators, the forest test, the
-    small-cancellation certificate, then the weight search.  None is a miss,
-    not a refutation."""
+    empty set) from the cheap tests: no relators, else the first certificate
+    of the forest test, the small-cancellation certificate and the weight
+    search.  None is a miss, not a refutation."""
     if not p.relators:
         return {"method": "no_relators",
                 "detail": "no 2-cells, reducibility is vacuous"}
-    if not all(is_cyclically_reduced(r) for r in p.relators):
-        return None
-    if all(word_stats(r).total_exponent_sum == 0 for r in p.relators):
-        side = _forest_side(p)
-        if side is not None:
-            return {"method": "forest", "side": side}
-    try:
-        cert = certify_s44(p, frozenset())
-        if cert.positive:
-            return {"method": "s44", "case": cert.evidence["case"]}
-    except SmallCancellationError:
-        pass
-    wcert = search_weights(p, frozenset())
-    if wcert is None:
-        return None
-    return {"method": "weight",
-            "weights": {str(k): str(v) for k, v in sorted(wcert.assignment.weights.items())}}
+    digest, config = presentation_digest(p), CheckConfig()
+    # each test, and the part of its certificate's evidence the ladder reports
+    for name, brief in (
+            ("forest", lambda ev: {"side": ev["side"]}),
+            ("s44", lambda ev: {"case": ev["case"]}),
+            ("weight", lambda ev: {"weights": {k: str(Fraction(v)) for k, v
+                                               in ev["weights"]["weights"].items()}})):
+        cert, _ = TESTS[name](p, frozenset(), digest, config)
+        if cert is not None:
+            return {"method": name, **brief(cert.evidence)}
+    return None
 
 
 def derive_consequences(cert: Certificate, p: Presentation, s: frozenset[str],
@@ -215,9 +204,9 @@ def derive_consequences(cert: Certificate, p: Presentation, s: frozenset[str],
 
     `carried` is the caller's memo of the ladder on carried
     sub-presentations, subset -> `presentation_dr` result, so several
-    certificates for one subset run the ladder once.  A LOT certificate has
-    already run the ladder on the carried sub-presentation, so it is not run
-    again here."""
+    certificates for one subset run the ladder once.  A LOT certificate's
+    carried sub-presentation is the sub-LOT's own, and a ladder success is
+    recorded in its evidence as `sublot_presentation_dr`."""
     if not cert.positive:
         raise ValueError("consequences are derived from positive certificates only")
     out: list[dict] = []
@@ -256,15 +245,16 @@ def derive_consequences(cert: Certificate, p: Presentation, s: frozenset[str],
             "kind": "free_subgroup",
             "statement": f"{subset_txt} generates a free subgroup with basis {subset_txt}",
         })
-    if cert.method != "lot_collapse":
-        if s not in carried:
-            carried[s] = presentation_dr(subpresentation(p, s))
-        if carried[s] is not None:
-            out.append({
-                "kind": "aspherical",
-                "statement": "the presentation complex is aspherical (the carried "
-                             "sub-presentation is itself diagrammatically reducible)",
-            })
+    if s not in carried:
+        carried[s] = presentation_dr(subpresentation(p, s))
+    if carried[s] is not None:
+        if cert.method == "lot_collapse":
+            cert.evidence["sublot_presentation_dr"] = carried[s]
+            why = "the sub-LOT's own presentation is diagrammatically reducible"
+        else:
+            why = "the carried sub-presentation is itself diagrammatically reducible"
+        out.append({"kind": "aspherical",
+                    "statement": f"the presentation complex is aspherical ({why})"})
     return out + cert.consequences
 
 
@@ -310,23 +300,19 @@ def _run_all_directions(p: Presentation, config: CheckConfig, digest: str,
             if not config.run_all:
                 return report
     singles = [frozenset({g}) for g in p.generators]
-    forest_certs = []
-    if "forest" in config.tests:
-        for s in singles:
-            cert, attempt = _forest_test(p, s, digest, config)
-            if cert is None:
-                report.attempts.append(_attempt("forest", "unknown",
-                                                attempt.get("reason", "")))
-                forest_certs = []
-                break
-            forest_certs.append(cert)
-    if forest_certs:
-        report.attempts.append(_attempt("forest", "certified",
-                                        "directed away from each single generator"))
-        for cert, s in zip(forest_certs, singles):
-            cert.consequences = derive_consequences(cert, p, s, carried)
-            report.certificates.append(cert)
-        return report
+    if "forest" in config.tests and singles:
+        # the forest test's outcome is the same for every subset of size <= 1
+        cert, attempt = _forest_test(p, frozenset(), digest, config)
+        if cert is None:
+            report.attempts.append(attempt)
+        else:
+            report.attempts.append(_attempt("forest", "certified",
+                                            "directed away from each single generator"))
+            for s in singles:
+                single = replace(cert, subset=tuple(s))
+                single.consequences = derive_consequences(single, p, s, carried)
+                report.certificates.append(single)
+            return report
     if not report.certificates:
         # per-subset fallback: report the singleton runs individually
         sub_config = replace(config, all_directions=False)

@@ -156,8 +156,10 @@ class GraphView:
         return frozenset(v for v in self.parent.vertices if v.sign == want)
 
     def edge_ids(self) -> tuple[int, ...]:
-        vs = self.vertex_set()
-        return tuple(e.id for e in self.parent.edges if e.a in vs and e.b in vs)
+        if self.mode == FULL:
+            return tuple(e.id for e in self.parent.edges)
+        want = 1 if self.mode == POSITIVE else -1
+        return tuple(e.id for e in self.parent.edges if e.a.sign == want == e.b.sign)
 
 
 @dataclass(frozen=True)

@@ -4,10 +4,12 @@ import random
 from collections import Counter
 from fractions import Fraction
 from itertools import product
+from typing import Mapping
 
 from ddr.cayley import COLLAPSED, STUCK, CollapseLog, CollapseStep
 from ddr.core import Word, inverse_word, word_support
 from ddr.diagram import SurfaceDiagram
+from ddr.lot import LOT, LotEdge, LotError
 from ddr.whitehead import WhiteheadGraph
 
 
@@ -279,3 +281,43 @@ def rescan_collapse(cells, p, subset, rng: random.Random | None = None) -> Colla
     residual = tuple((cells[ci].element, cells[ci].relator_index) for ci in remaining)
     verdict = COLLAPSED if all(cells[ci].relator_index in carried for ci in remaining) else STUCK
     return CollapseLog(tuple(steps), residual, verdict)
+
+
+def insert(lbar: LOT, y: str, t: LOT,
+           endpoint_attachment: Mapping[int, str],
+           label_attachment: Mapping[int, str]) -> LOT:
+    """The reference inverse of `collapse`: remove y and splice in the tree t.
+
+    The attachments say, per lbar edge index, which t-vertex replaces y as
+    an endpoint and which replaces y as a label; both maps must cover
+    exactly the edges that mention y in that role.
+    """
+    if y not in lbar.vertex_set:
+        raise LotError(f"{y!r} is not a vertex", code="BAD_VERTEX")
+    collision = (lbar.vertex_set - {y}) & t.vertex_set
+    if collision:
+        raise LotError(f"vertex names {sorted(collision)} collide with the inserted tree",
+                       code="NAME_COLLISION")
+    need_endpoint = {i for i, e in enumerate(lbar.edges) if y in (e.source, e.target)}
+    need_label = {i for i, e in enumerate(lbar.edges) if e.label == y}
+    if set(endpoint_attachment) != need_endpoint or set(label_attachment) != need_label:
+        raise LotError("attachment underspecified or mentions edges without y",
+                       code="ATTACHMENT_UNDERSPECIFIED")
+    for v in list(endpoint_attachment.values()) + list(label_attachment.values()):
+        if v not in t.vertex_set:
+            raise LotError(f"attachment vertex {v!r} is not in the inserted tree",
+                           code="ATTACHMENT_UNDERSPECIFIED")
+    vertices: list[str] = []
+    for v in lbar.vertices:
+        if v == y:
+            vertices.extend(t.vertices)
+        else:
+            vertices.append(v)
+    edges = []
+    for i, e in enumerate(lbar.edges):
+        source = endpoint_attachment[i] if e.source == y else e.source
+        target = endpoint_attachment[i] if e.target == y else e.target
+        label = label_attachment[i] if e.label == y else e.label
+        edges.append(LotEdge(source, target, label))
+    edges.extend(t.edges)
+    return LOT(tuple(vertices), tuple(edges))

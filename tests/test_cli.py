@@ -48,8 +48,7 @@ class TestRunCheck:
             {"free", "onerel", "forest", "s44", "weight", "finite"}
 
     def test_improper_subset_rejected(self, fx4):
-        from ddr.core import PresentationError
-        with pytest.raises(PresentationError):
+        with pytest.raises(core.PresentationError):
             run_check(fx4, {"a", "b"})
 
     def test_report_deterministic(self, fx3):
@@ -114,10 +113,29 @@ class TestWorkDoneOnce:
     def test_lot_runs_the_reducibility_ladder_once(self, monkeypatch, capsys):
         counts = Counter()
         _count_calls(monkeypatch, counts, pipeline, "presentation_dr")
-        monkeypatch.setattr(lot, "presentation_dr", pipeline.presentation_dr)
         assert main(["lot", str(FIXTURES / "fxl2.lot"), "--sublot", "T"]) == 0
         assert counts == {"presentation_dr": 1}
         assert "aspherical" in capsys.readouterr().out
+
+    def test_certify_lot_runs_no_ladder(self, monkeypatch, fxl2_doc):
+        # asphericity is derived with the other consequences, as in the test above
+        counts = Counter()
+        _count_calls(monkeypatch, counts, pipeline, "presentation_dr")
+        cert = lot.certify_lot(fxl2_doc.lot, fxl2_doc.sublots["T"])
+        assert cert.positive
+        assert counts == {}
+        assert cert.consequences == []
+        assert "sublot_presentation_dr" not in cert.evidence
+
+    def test_all_directions_runs_the_forest_test_once(self, monkeypatch, capsys):
+        # one forest run serves every single generator
+        counts = Counter()
+        _count_calls(monkeypatch, counts, whitehead, "build_whitehead",
+                     pipeline, smallcancel, weights)
+        assert main(["check", str(FIXTURES / "fx4.pres"), "--all-directions",
+                     "--tests", "forest"]) == 0
+        assert counts == {"build_whitehead": 1}
+        assert capsys.readouterr().out.count("CERTIFIED_DR_AWAY_FROM [forest]") == 2
 
     def test_lot_enumerates_the_sub_lot_lattice_once(self, monkeypatch, capsys):
         counts = Counter()
@@ -170,7 +188,7 @@ class TestWorkDoneOnce:
     def test_lot_ladder_miss_is_not_rerun(self, monkeypatch, capsys):
         # fxl3's certificate is positive but the ladder misses on T's presentation
         counts = Counter()
-        _count_calls(monkeypatch, counts, pipeline, "presentation_dr", lot)
+        _count_calls(monkeypatch, counts, pipeline, "presentation_dr")
         assert main(["lot", str(FIXTURES / "fxl3.lot"), "--sublot", "T"]) == 0
         assert counts == {"presentation_dr": 1}
         assert "aspherical" not in capsys.readouterr().out
@@ -269,6 +287,14 @@ class TestCommandLine:
         long.write_text("gens: a\nrel: a^3\n")
         assert main(["check", str(long)]) == 3
         assert "exceed 2 letters" in capsys.readouterr().err
+
+    def test_infinite_vertex_count_exits_three(self, tmp_path, capsys):
+        bad = tmp_path / "inf.json"
+        bad.write_text('{"vertexCount": 1e400, "edges": [], "faces": []}')
+        pres = str(FIXTURES / "fx2.pres")
+        assert main(["diagram", str(bad), "--pres", pres]) == 3
+        assert main(["check", pres, "--tests", "free", "--diagram", str(bad)]) == 3
+        assert "malformed diagram JSON" in capsys.readouterr().err
 
     def test_unknown_sublot_name(self, capsys):
         assert main(["lot", str(FIXTURES / "fxl2.lot"), "--sublot", "Q"]) == 3

@@ -41,6 +41,15 @@ def open_up(sphere, f, spur_label=None):
 
 
 class TestValidate:
+    def test_huge_vertex_count_is_disconnected_without_a_vertex_table(self):
+        # a table of 10^12 vertices would exhaust memory; the edge count decides
+        p = parse_presentation("gens: a b c\nrel: a b c")
+        sphere = triangle_sphere(p)
+        for d in (SurfaceDiagram(10 ** 12, (), ()),
+                  SurfaceDiagram(10 ** 12, sphere.edges, sphere.faces)):
+            report = validate_diagram(d, p)
+            assert report.valid and not report.connected and not report.sphere
+
     def test_triangle_double_is_sphere(self):
         p = parse_presentation("gens: a b c\nrel: a b c")
         report = validate_diagram(triangle_sphere(p), p)
@@ -397,6 +406,12 @@ class TestJson:
             loads_diagram("{not json")
         with pytest.raises(DiagramError):
             loads_diagram("{\"vertexCount\": 1}")
+
+    @pytest.mark.parametrize("count", ["1e400", "-1e400", "NaN", "\"four\""])
+    def test_non_integer_vertex_count_is_a_syntax_error(self, count):
+        with pytest.raises(DiagramError) as exc:
+            loads_diagram(f'{{"vertexCount": {count}, "edges": [], "faces": []}}')
+        assert exc.value.code == "SYNTAX"
 
 
 def test_crossed_occurrence_convention():
