@@ -23,24 +23,33 @@ On the full complex right translation permutes the group, so every edge
 labelled x lies on occ(x) cell sides, occ(x) being the number of occurrences
 of x^±1 across all relators.  When no relator holds a generator outside the
 subset with occ = 1, no cell has a free edge and the log is empty:
-`decide_finite` then builds no complex.  Before enumerating, it proves the
-group infinite when the exponent-sum matrix has rank over Q below the
-number of generators (the abelianization has positive free rank), and it
-builds no complex of more than `MAX_COMPLEX_SIDES` boundary sides; both
-end in an UNKNOWN with the reason.
+`decide_finite` then builds no complex, nor one of more than
+`MAX_COMPLEX_SIDES` boundary sides.
+
+Before enumerating, `decide_finite` looks for a subgroup of index at most
+`MAX_SCREEN_INDEX` whose abelianization has positive free rank: such a
+subgroup is infinite, so the group is too, and enumeration could only
+overflow.  The subgroups are the point stabilisers of the transitive actions
+on d points in which every relator acts trivially, taken one per conjugacy
+class; Reidemeister-Schreier rewriting over a spanning tree of the action
+gives each stabiliser's relation matrix (Sims, Computation with Finitely
+Presented Groups, 1994).  Index 1 is the trivial action, whose matrix is the
+exponent-sum matrix.  A proof, an overflow and an oversized complex all end
+in an UNKNOWN with the reason.
 """
 
 from __future__ import annotations
 
 import heapq
+import math
 from collections import Counter
 from dataclasses import dataclass
-from fractions import Fraction
-from functools import cached_property
-from typing import Mapping, Optional, Sequence
+from functools import cache, cached_property
+from itertools import permutations
+from typing import Mapping, NamedTuple, Optional, Sequence
 
-from .core import (Presentation, check_preconditions, free_edge_generators, word_stats,
-                   word_support)
+from .core import (Presentation, Word, check_preconditions, free_edge_generators,
+                   inverse_word, word_support)
 
 COLLAPSED = "COLLAPSED"
 STUCK = "STUCK"
@@ -96,13 +105,22 @@ class GroupTable:
                                       code="BAD_TABLE")
 
 
+# Highest `--coset-limit`: each defined coset holds a row of 2k table slots,
+# about 130 bytes at k = 4 generators, so the table stays near 130 MB.
+MAX_COSET_LIMIT = 1_000_000
+
+
+def check_coset_limit(limit: int) -> None:
+    if not 1 <= limit <= MAX_COSET_LIMIT:
+        raise CayleyError(f"coset limit must be between 1 and {MAX_COSET_LIMIT}, got {limit}",
+                          code="BAD_LIMIT")
+
+
 def coset_enumeration(p: Presentation, limit: int) -> Optional[GroupTable]:
     """Deterministic coset enumeration over the trivial subgroup (relator
     scan with fill, then row completion, with coincidence processing).
     Returns None when more than `limit` cosets would ever be defined; None
     says nothing about the group being infinite."""
-    if limit < 1:
-        raise CayleyError("limit must be at least 1", code="BAD_LIMIT")
     ncols = 2 * len(p.generators)
     col = {}
     for i, g in enumerate(p.generators):
@@ -387,23 +405,262 @@ def replay_collapse(cells: Sequence[CayleyCell], subset,
     return True
 
 
-def abelian_free_rank(p: Presentation) -> int:
-    """Free rank of the abelianization: the number of generators minus the
-    rank over Q of the exponent-sum matrix (one row per relator)."""
-    rows = [[Fraction(word_stats(rel).exponent_sum.get(g, 0)) for g in p.generators]
-            for rel in p.relators]
-    rank = 0
-    for c in range(len(p.generators)):
+# --- the infinitude screen ---------------------------------------------------
+
+# Highest subgroup index the screen searches; on the benchmark inputs index 4
+# proved no further group infinite and made the screen up to four times slower.
+MAX_SCREEN_INDEX = 3
+# Generator assignments the search may try per index before it gives up; a
+# miss only means that enumeration runs.
+MAX_SCREEN_NODES = 20_000
+
+
+class _Symmetric(NamedTuple):
+    """S_d as indices into `perms` (lexicographic, so 0 is the identity)."""
+
+    perms: tuple[tuple[int, ...], ...]
+    mul: tuple[tuple[int, ...], ...]    # mul[a][b]: a, then b
+    conj: tuple[tuple[int, ...], ...]   # conj[s][a]: s^-1 a s
+    power: tuple[tuple[int, ...], ...]  # power[a][e] = a^e, 0 <= e < exponent
+    exponent: int                       # lcm(1..d): every order divides it
+
+
+@cache
+def _symmetric(d: int) -> _Symmetric:
+    perms = tuple(permutations(range(d)))
+    index = {q: i for i, q in enumerate(perms)}
+    mul = tuple(tuple(index[tuple(b[x] for x in a)] for b in perms) for a in perms)
+    inv = [row.index(0) for row in mul]
+    conj = tuple(tuple(mul[mul[inv[s]][a]][s] for a in range(len(perms)))
+                 for s in range(len(perms)))
+    exponent = math.lcm(*range(1, d + 1))
+    power = []
+    for a in range(len(perms)):
+        row = [0]
+        while len(row) < exponent:
+            row.append(mul[row[-1]][a])
+        power.append(tuple(row))
+    return _Symmetric(perms, mul, conj, tuple(power), exponent)
+
+
+Runs = list[tuple[int, int]]  # a relator as (generator index, exponent) runs
+
+
+def _relator_runs(p: Presentation) -> list[Runs]:
+    index = {g: i for i, g in enumerate(p.generators)}
+    out = []
+    for rel in p.relators:
+        runs: list[list[int]] = []
+        for letter in rel:
+            gi = index[letter.gen]
+            if runs and runs[-1][0] == gi:
+                runs[-1][1] += letter.sign
+            else:
+                runs.append([gi, letter.sign])
+        out.append([(gi, e) for gi, e in runs if e])
+    return out
+
+
+def _trivial_actions(runs: Sequence[Runs], gen_count: int, d: int) -> list[tuple[int, ...]]:
+    """Assignments of S_d elements to the generators under which every
+    relator acts trivially, each the lexicographically least of its
+    conjugacy class.  Generators are assigned in declaration order, and a
+    relator is checked once all of its generators have a value.  Stops after
+    `MAX_SCREEN_NODES` tries beyond one pass down and up the generators."""
+    g = _symmetric(d)
+    n = len(g.perms)
+    closing: list[list[Runs]] = [[] for _ in range(gen_count)]
+    for rel in runs:
+        reduced = [(gi, e % g.exponent) for gi, e in rel if e % g.exponent]
+        if reduced:
+            closing[max(gi for gi, _ in reduced)].append(reduced)
+    if not gen_count:
+        return [()] if d == 1 else []
+    found: list[tuple[int, ...]] = []
+    assign: list[int] = []
+    choices = [iter(range(n))]
+    # conjugators fixing the assigned prefix: only they can make it smaller
+    fixers = [range(1, n)]
+    for _ in range(MAX_SCREEN_NODES + 2 * gen_count + 1):
+        a = next(choices[-1], None)
+        if a is None:
+            choices.pop()
+            fixers.pop()
+            if not assign:
+                break
+            assign.pop()
+            continue
+        if any(g.conj[s][a] < a for s in fixers[-1]):
+            continue
+        assign.append(a)
+        trivial = True
+        for rel in closing[len(assign) - 1]:
+            x = 0
+            for gi, e in rel:
+                x = g.mul[x][g.power[assign[gi]][e]]
+            if x:
+                trivial = False
+                break
+        if trivial and len(assign) == gen_count:
+            found.append(tuple(assign))
+        elif trivial:
+            choices.append(iter(range(n)))
+            fixers.append([s for s in fixers[-1] if g.conj[s][a] == a])
+            continue
+        assign.pop()
+    return found
+
+
+def _schreier_columns(perms: Sequence[tuple[int, ...]], d: int) -> Optional[list[list[int]]]:
+    """Column of each non-tree pair (point, generator index) of a BFS
+    spanning tree from point 0, -1 on tree edges; None when the action is
+    not transitive."""
+    tree, seen, order = set(), {0}, [0]
+    for x in order:
+        for gi, perm in enumerate(perms):
+            if perm[x] not in seen:
+                seen.add(perm[x])
+                order.append(perm[x])
+                tree.add((x, gi))
+    if len(order) < d:
+        return None
+    count = iter(range(d * len(perms)))
+    return [[-1 if (x, gi) in tree else next(count) for gi in range(len(perms))]
+            for x in range(d)]
+
+
+def _rank(rows: list[list[int]], ncols: int) -> int:
+    """Rank over Q by fraction-free (Bareiss) elimination: every division
+    is exact, so the entries stay integers."""
+    rows = [list(row) for row in set(map(tuple, rows)) if any(row)]
+    rank, prev = 0, 1
+    for c in range(ncols):
         pivot = next((i for i in range(rank, len(rows)) if rows[i][c]), None)
         if pivot is None:
             continue
         rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        top = rows[rank]
+        p = top[c]
         for i in range(rank + 1, len(rows)):
-            if rows[i][c]:
-                factor = rows[i][c] / rows[rank][c]
-                rows[i] = [a - factor * b for a, b in zip(rows[i], rows[rank])]
+            row, q = rows[i], rows[i][c]
+            rows[i] = [0] * (c + 1) + [(p * row[j] - q * top[j]) // prev
+                                       for j in range(c + 1, ncols)]
+        prev = p
         rank += 1
-    return len(p.generators) - rank
+    return rank
+
+
+def _stabiliser_free_rank(runs: Sequence[Runs], perms: Sequence[tuple[int, ...]],
+                          d: int) -> Optional[int]:
+    """Free rank of the abelianized stabiliser of point 0 under a transitive
+    action in which every relator acts trivially: the number of Schreier
+    generators minus the rank of the relators lifted at every point.  A run
+    g^e is lifted along the point's g-cycle, so its cost is O(d), not |e|.
+    None when the action is not transitive."""
+    columns = _schreier_columns(perms, d)
+    if columns is None:
+        return None
+    ncols = d * (len(perms) - 1) + 1  # the tree has d - 1 of the d k edges
+    # per generator and point: the point's cycle, and the column of the
+    # edge leaving each of its points
+    cycles = []
+    for gi, perm in enumerate(perms):
+        per_point = []
+        for x in range(d):
+            points = [x]
+            while perm[points[-1]] != x:
+                points.append(perm[points[-1]])
+            per_point.append((points, [columns[y][gi] for y in points]))
+        cycles.append(per_point)
+    rows = []
+    for rel in runs:
+        for start in range(d):
+            row, x = [0] * ncols, start
+            for gi, e in rel:
+                points, cols = cycles[gi][x]
+                # g^e = (g^L)^laps g^rest, and g^L winds once around the cycle
+                laps, rest = divmod(e, len(points))
+                for j, col in enumerate(cols):
+                    if col >= 0:
+                        row[col] += laps + (j < rest)
+                x = points[rest]
+            rows.append(row)
+    return ncols - _rank(rows, ncols)
+
+
+def abelian_free_rank(p: Presentation) -> int:
+    """Free rank of the abelianization: the index-1 case of the screen, where
+    the Schreier generators are the generators and the lifted relators are
+    the exponent-sum rows."""
+    return _stabiliser_free_rank(_relator_runs(p), [(0,)] * len(p.generators), 1)
+
+
+class InfinitudeProof(NamedTuple):
+    """A transitive action on `index` points in which every relator acts
+    trivially, and whose point stabiliser, a subgroup of that index, has
+    abelianization of free rank `free_rank` > 0."""
+
+    index: int
+    free_rank: int
+    permutations: Mapping[str, tuple[int, ...]]  # generator -> images of 0..index-1
+
+    @property
+    def reason(self) -> str:
+        if self.index == 1:
+            return (f"abelianization has free rank {self.free_rank}, so the group is "
+                    "infinite; coset enumeration skipped")
+        return (f"a subgroup of index {self.index} has abelianization of free rank "
+                f"{self.free_rank}, so the group is infinite; coset enumeration skipped")
+
+    def to_json_dict(self) -> dict:
+        return {"index": self.index, "free_rank": self.free_rank,
+                "permutations": {g: list(v) for g, v in self.permutations.items()}}
+
+
+def _without_free_edges(p: Presentation) -> tuple[Presentation, dict[str, tuple[Word, int, Word]]]:
+    """Tietze moves that keep the group: drop each relator u g^e v in which a
+    generator g occurs that occurs nowhere else, together with g, one
+    generator per relator.  Returns the smaller presentation and, for each
+    dropped g, (u, e, v); u and v hold no dropped generator."""
+    free = free_edge_generators(p)
+    dropped, kept = {}, []
+    for rel in p.relators:
+        pos = next((i for i, letter in enumerate(rel) if letter.gen in free), None)
+        if pos is None:
+            kept.append(rel)
+        else:
+            dropped[rel[pos].gen] = (rel[:pos], rel[pos].sign, rel[pos + 1:])
+    gens = tuple(g for g in p.generators if g not in dropped)
+    return Presentation(gens, tuple(kept)), dropped
+
+
+def prove_infinite(p: Presentation) -> Optional[InfinitudeProof]:
+    """The first subgroup of index 1 to `MAX_SCREEN_INDEX` found with an
+    abelianization of positive free rank, or None.  None says nothing
+    about the group being finite.  The search runs on the presentation
+    without its free-edge generators; each one's permutation then follows
+    from its relator."""
+    q, dropped = _without_free_edges(p)
+    runs = _relator_runs(q)
+    for d in range(1, MAX_SCREEN_INDEX + 1):
+        perms = _symmetric(d).perms
+        for assignment in _trivial_actions(runs, len(q.generators), d):
+            action = [perms[a] for a in assignment]
+            rank = _stabiliser_free_rank(runs, action, d)
+            if rank:
+                images = dict(zip(q.generators, action))
+                for g, (u, sign, v) in dropped.items():
+                    # u g^sign v = 1, so g^sign = (v u)^-1
+                    word = v + u if sign < 0 else inverse_word(v + u)
+                    images[g] = tuple(_act(images, word, x) for x in range(d))
+                return InfinitudeProof(d, rank, {g: images[g] for g in p.generators})
+    return None
+
+
+def _act(images: Mapping[str, tuple[int, ...]], word: Word, x: int) -> int:
+    for letter in word:
+        x = images[letter.gen][x] if letter.sign > 0 else images[letter.gen].index(x)
+    return x
 
 
 @dataclass(frozen=True)
@@ -412,22 +669,21 @@ class FiniteDecision:
     table: Optional[GroupTable]
     log: Optional[CollapseLog]
     reason: Optional[str] = None  # why the verdict is UNKNOWN
+    proof: Optional[InfinitudeProof] = None  # why the group is infinite
 
 
 def decide_finite(p: Presentation, subset, limit: int) -> FiniteDecision:
     """Decide directed reducibility when the group is small enough to
     enumerate: collapse the full finite universal-cover complex.  The greedy
     collapse is order-independent, so COLLAPSED and STUCK are both
-    conclusive.  A group with infinite abelianization, an enumeration
-    overflow and a complex over `MAX_COMPLEX_SIDES` are honest UNKNOWNs.
-    No complex is built when no generator outside the subset occurs exactly
-    once in the relators (see the module docstring)."""
+    conclusive.  A group proved infinite by `prove_infinite`, an
+    enumeration overflow and a complex over `MAX_COMPLEX_SIDES` are honest
+    UNKNOWNs.  No complex is built when no generator outside the subset
+    occurs exactly once in the relators (see the module docstring)."""
     s = check_preconditions(p, subset, CayleyError, cyclically_reduced=False)
-    rank = abelian_free_rank(p)
-    if rank:
-        return FiniteDecision(UNKNOWN, None, None,
-                              f"abelianization has free rank {rank}, so the group is "
-                              "infinite; coset enumeration skipped")
+    proof = prove_infinite(p)
+    if proof is not None:
+        return FiniteDecision(UNKNOWN, None, None, proof.reason, proof)
     table = coset_enumeration(p, limit)
     if table is None:
         return FiniteDecision(UNKNOWN, None, None, f"enumeration exceeded {limit} cosets")

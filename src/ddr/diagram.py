@@ -103,11 +103,19 @@ class ValidationReport:
     connected: Optional[bool] = None
     closed: Optional[bool] = None
     disc: Optional[bool] = None
+    pinched: Optional[tuple[int, ...]] = None  # vertices whose capped link is several cycles
 
 
 def validate_diagram(d: SurfaceDiagram, p: Presentation) -> ValidationReport:
     """Check every structural invariant against the presentation and compute
-    the surface data (Euler characteristic, orientability, sphere/disc)."""
+    the surface data (Euler characteristic, orientability, sphere/disc).
+
+    A vertex is pinched when its link, with each boundary cycle capped by a
+    face, is more than one cycle.  A pinched diagram is no surface: it has
+    no genus and is neither a sphere nor a disc, whatever its Euler
+    characteristic.  A disc is thus a diagram that a cap turns into a
+    sphere, so singular discs, with spurs or cut vertices on the boundary,
+    stay discs."""
     errors: list[str] = []
     ids = [e.id for e in d.edges]
     if len(set(ids)) != len(ids):
@@ -173,10 +181,40 @@ def validate_diagram(d: SurfaceDiagram, p: Presentation) -> ValidationReport:
     closed = len(d.boundary_cycles) == 0
     orientable = _orientable(d)
     connected = _connected(d)
-    sphere = closed and orientable and connected and chi == 2
-    genus = (2 - chi) // 2 if (closed and orientable and connected) else None
-    disc = (not closed) and connected and len(d.boundary_cycles) == 1 and chi == 1
-    return ValidationReport(True, (), chi, orientable, sphere, genus, connected, closed, disc)
+    pinched = tuple(v for v, count in sorted(_link_cycles(d).items()) if count > 1)
+    surface = connected and not pinched
+    sphere = closed and orientable and surface and chi == 2
+    genus = (2 - chi) // 2 if (closed and orientable and surface) else None
+    disc = (not closed) and surface and len(d.boundary_cycles) == 1 and chi == 1
+    return ValidationReport(True, (), chi, orientable, sphere, genus, connected, closed, disc,
+                            pinched)
+
+
+def _link_cycles(d: SurfaceDiagram) -> Mapping[int, int]:
+    """The number of link cycles at each vertex that an edge ends at, with
+    every boundary cycle capped by a face.  The corner between two steps of
+    a walk joins the end of one at their vertex to the start of the next.
+    An edge end is (edge id, 0 at the tail or 1 at the head); with two sides
+    per edge it lies on two corners, so each link is a union of cycles."""
+    parent: dict[tuple[int, int], tuple[int, int]] = {}
+
+    def find(end):
+        while parent.get(end, end) != end:
+            parent[end] = parent.get(parent[end], parent[end])
+            end = parent[end]
+        return end
+
+    for walk in [face.boundary for face in d.faces] + list(d.boundary_cycles):
+        for step, nxt in zip(walk, walk[1:] + walk[:1]):
+            a = find((step.edge, 1 if step.direction > 0 else 0))
+            b = find((nxt.edge, 0 if nxt.direction > 0 else 1))
+            if a != b:
+                parent[a] = b
+    roots: dict[int, set] = {}
+    for e in d.edges:
+        for end, v in ((0, e.tail), (1, e.head)):
+            roots.setdefault(v, set()).add(find((e.id, end)))
+    return {v: len(r) for v, r in roots.items()}
 
 
 def _face_sides(d: SurfaceDiagram) -> Mapping[int, list[tuple[int, int]]]:
@@ -309,7 +347,8 @@ def directed_verdict(d: SurfaceDiagram, p: Presentation, subset) -> DirectedVerd
                 f"disc boundary labels {sorted(boundary_labels - s)} are outside the subset",
                 code="HYPOTHESIS_NOT_MET")
     else:
-        raise DiagramError("diagram is neither a sphere nor a disc",
+        pinched = f" (pinched at vertices {list(report.pinched)})" if report.pinched else ""
+        raise DiagramError("diagram is neither a sphere nor a disc" + pinched,
                            code="UNSUPPORTED_SURFACE")
     outside = tuple(e.id for e in d.edges if e.label not in s)
     outside_foldings = tuple(f.edge_id for f in _folding_scan(d)

@@ -25,7 +25,7 @@ from fractions import Fraction
 from . import __version__
 from .certificates import (CERTIFIED_DR_ALL_DIRECTIONS, CERTIFIED_DR_AWAY_FROM,
                            DECIDED_DR, DECIDED_NOT_DR, REFUTED, Certificate, Report)
-from .cayley import CayleyError, decide_finite
+from .cayley import CayleyError, check_coset_limit, decide_finite
 from .core import (Presentation, check_preconditions, free_edge_generators,
                    is_cyclically_reduced, presentation_digest, subpresentation,
                    word_stats, word_support)
@@ -141,7 +141,11 @@ def _finite_test(p: Presentation, s: frozenset[str], digest: str, config: CheckC
     except CayleyError as exc:
         return None, _attempt("finite", "skipped", f"{exc.code}: {exc}")
     if decision.verdict == "UNKNOWN":
-        return None, _attempt("finite", "unknown", decision.reason)
+        attempt = _attempt("finite", "unknown", decision.reason)
+        # index 1 is the abelianization itself, which the reason already names
+        if decision.proof is not None and decision.proof.index > 1:
+            attempt["evidence"] = decision.proof.to_json_dict()
+        return None, attempt
     verdict = DECIDED_DR if decision.verdict == "DECIDED_DR" else DECIDED_NOT_DR
     cert = Certificate(digest, tuple(sorted(s)), verdict, "finite",
                        evidence={"group_order": decision.table.element_count,
@@ -172,6 +176,9 @@ class CheckConfig:
     weights: WeightAssignment | None = None
     all_directions: bool = False
     run_all: bool = False
+
+    def __post_init__(self):
+        check_coset_limit(self.coset_limit)
 
 
 def presentation_dr(p: Presentation) -> dict | None:
@@ -314,9 +321,12 @@ def _run_all_directions(p: Presentation, config: CheckConfig, digest: str,
                 report.certificates.append(single)
             return report
     if not report.certificates:
-        # per-subset fallback: report the singleton runs individually
+        # per-subset fallback: report the singleton runs individually; a
+        # one-generator presentation has no proper singleton
         sub_config = replace(config, all_directions=False)
         for s in singles:
+            if s == p.generator_set:
+                continue
             sub_report = run_check(p, s, sub_config)
             report.attempts.extend(
                 {**a, "subset": sorted(s)} for a in sub_report.attempts)

@@ -7,7 +7,7 @@ from itertools import product
 from typing import Mapping
 
 from ddr.cayley import COLLAPSED, STUCK, CollapseLog, CollapseStep
-from ddr.core import Word, inverse_word, word_support
+from ddr.core import Letter, Word, inverse_word, word_support
 from ddr.diagram import SurfaceDiagram
 from ddr.lot import LOT, LotEdge, LotError
 from ddr.whitehead import WhiteheadGraph
@@ -250,6 +250,80 @@ def vertex_count_from_links(d: SurfaceDiagram) -> int:
     corners = [(f, p) for f, face in enumerate(d.faces)
                for p in range(len(face.boundary))]
     return len({find(c) for c in corners})
+
+
+def infinitude_proof_error(p, index: int, free_rank: int,
+                           permutations: Mapping[str, list[int]]) -> str | None:
+    """Re-check a proof that a subgroup of finite index has abelianization
+    of positive free rank, letter by letter: each generator permutes
+    0..index-1, every relator fixes every point, the action is transitive,
+    and the stabiliser of 0 has the claimed free rank.  The rank is
+    recomputed over a depth-first spanning tree that also follows inverse
+    edges, with `Fraction` elimination.  None when the proof holds, else
+    what fails."""
+    points = list(range(index))
+    if free_rank < 1:
+        return f"free rank {free_rank} proves nothing"
+    if sorted(permutations) != sorted(p.generators):
+        return "the permutations do not cover the generators"
+    forward = {g: list(images) for g, images in permutations.items()}
+    if any(sorted(images) != points for images in forward.values()):
+        return "some generator does not act by a permutation"
+    backward = {g: [images.index(x) for x in points] for g, images in forward.items()}
+
+    def step(x, letter):
+        # the point reached and the crossed edge (tail point, generator), signed
+        if letter.sign > 0:
+            return forward[letter.gen][x], (x, letter.gen), 1
+        y = backward[letter.gen][x]
+        return y, (y, letter.gen), -1
+
+    for idx, rel in enumerate(p.relators):
+        for x in points:
+            y = x
+            for letter in rel:
+                y = step(y, letter)[0]
+            if y != x:
+                return f"relator {idx} moves point {x}"
+    tree, reached, stack = set(), {0}, [0]
+    while stack:
+        x = stack.pop()
+        for g in reversed(p.generators):
+            for sign in (1, -1):
+                y, edge, _ = step(x, Letter(g, sign))
+                if y not in reached:
+                    reached.add(y)
+                    tree.add(edge)
+                    stack.append(y)
+    if len(reached) != index:
+        return "the action is not transitive"
+    column = {}
+    for x in points:
+        for g in p.generators:
+            if (x, g) not in tree:
+                column[(x, g)] = len(column)
+    rows = []
+    for rel in p.relators:
+        for x in points:
+            row = [Fraction(0)] * len(column)
+            for letter in rel:
+                x, edge, sign = step(x, letter)
+                if edge in column:
+                    row[column[edge]] += sign
+            rows.append(row)
+    rank = 0
+    for c in range(len(column)):
+        pivot = next((i for i in range(rank, len(rows)) if rows[i][c]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        for i in range(rank + 1, len(rows)):
+            factor = rows[i][c] / rows[rank][c]
+            rows[i] = [a - factor * b for a, b in zip(rows[i], rows[rank])]
+        rank += 1
+    if len(column) - rank != free_rank:
+        return f"the stabiliser has free rank {len(column) - rank}, not {free_rank}"
+    return None
 
 
 def rescan_collapse(cells, p, subset, rng: random.Random | None = None) -> CollapseLog:

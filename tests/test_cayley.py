@@ -4,12 +4,14 @@ from itertools import combinations
 
 import pytest
 
-from oracles import rescan_collapse
+from conftest import FIXTURES, random_word
+from oracles import infinitude_proof_error, rescan_collapse
 from ddr import cayley
-from ddr.core import parse_presentation
+from ddr.cli import main
+from ddr.core import Presentation, parse_presentation
 from ddr.cayley import (COLLAPSED, STUCK, CayleyError, GroupTable, abelian_free_rank,
                         build_cayley_complex, coset_enumeration,
-                        decide_finite, directed_collapse, replay_collapse)
+                        decide_finite, directed_collapse, prove_infinite, replay_collapse)
 from ddr.pipeline import CheckConfig, run_check
 
 
@@ -202,12 +204,19 @@ class TestDecide:
         assert d.verdict == "UNKNOWN" and d.table is None and d.log is None
         assert d.reason == ("abelianization has free rank 2, so the group is infinite; "
                             "coset enumeration skipped")
+        assert (d.proof.index, d.proof.free_rank) == (1, 2)
+        # the index-1 reason names the rank, and the attempt carries no evidence
+        report = run_check(fx4, {"a"}, CheckConfig(tests=("finite",)))
+        assert report.attempts == [{"test": "finite", "status": "unknown", "reason": d.reason}]
 
     def test_finite_abelianization_still_enumerates(self):
-        # Z2 * Z3 is infinite with abelianization Z6: the screen lets it through
-        p = parse_presentation("gens: a b\nrel: a^2\nrel: b^3")
-        d = decide_finite(p, {"a"}, 100)
-        assert d.verdict == "UNKNOWN" and d.reason == "enumeration exceeded 100 cosets"
+        # D_5 + c is finite of order 10, so no screen proves it infinite, and
+        # enumeration overflows at a limit below its order
+        p = dihedral_plus_c(5)
+        assert abelian_free_rank(p) == 0 and prove_infinite(p) is None
+        d = decide_finite(p, {"a"}, 5)
+        assert d.verdict == "UNKNOWN" and d.reason == "enumeration exceeded 5 cosets"
+        assert d.proof is None
 
     def test_complex_budget(self, monkeypatch):
         monkeypatch.setattr(cayley, "MAX_COMPLEX_SIDES", 10)
@@ -279,3 +288,131 @@ class TestSubcomplex:
         cx = build_cayley_complex(table, fx1)
         two = tuple(c for c in cx.cells if c.relator_index in (0, 1))
         assert directed_collapse(two, fx1, {"a"}).verdict == STUCK
+
+
+# (presentation, index, free rank) of the screen's first proof; the first two
+# are the benchmark pool's rand2x2x8-1 and rand3x3x6-0
+SCREEN_PROOFS = [
+    ("gens: x0 x1\nrel: x1^-1 x0 x0 x0 x1^-1 x0 x1^-1 x0^-1\n"
+     "rel: x0^-1 x1^-1 x1^-1 x0^-1 x0^-1 x1 x1 x0^-1", 3, 1),
+    ("gens: x0 x1 x2\nrel: x1^-1 x2 x0 x0 x1 x2^-1\nrel: x0^-1 x1^-1 x0^-1 x1 x2 x2\n"
+     "rel: x1 x0^-1 x1 x2^-1 x0 x2^-1", 2, 1),
+    ("gens: a b\nrel: a^2\nrel: b^3", 3, 1),  # Z2 * Z3
+    # Z2 * Z3 again: c occurs once, so the search drops it with its relator
+    ("gens: a c b\nrel: a^2\nrel: b a c^-1 a\nrel: b^3", 3, 1),
+]
+
+
+def _refuse_enumeration(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("coset enumeration ran on a provably infinite group")
+    monkeypatch.setattr(cayley, "coset_enumeration", refuse)
+
+
+class TestScreen:
+    @pytest.mark.parametrize("text,index,rank", SCREEN_PROOFS)
+    def test_subgroup_proofs_skip_enumeration(self, text, index, rank, monkeypatch):
+        _refuse_enumeration(monkeypatch)
+        p = parse_presentation(text)
+        assert abelian_free_rank(p) == 0
+        d = decide_finite(p, {p.generators[0]}, 20000)
+        assert d.verdict == "UNKNOWN" and d.table is None and d.log is None
+        assert (d.proof.index, d.proof.free_rank) == (index, rank)
+        assert d.reason == (f"a subgroup of index {index} has abelianization of free rank "
+                            f"{rank}, so the group is infinite; coset enumeration skipped")
+        evidence = d.proof.to_json_dict()
+        assert infinitude_proof_error(p, **evidence) is None
+        report = run_check(p, {p.generators[0]}, CheckConfig(tests=("finite",)))
+        assert report.attempts == [{"test": "finite", "status": "unknown",
+                                    "reason": d.reason, "evidence": evidence}]
+
+    def test_z2_free_product_z3_evidence(self):
+        proof = prove_infinite(parse_presentation("gens: a b\nrel: a^2\nrel: b^3"))
+        assert proof.to_json_dict() == {"index": 3, "free_rank": 1,
+                                        "permutations": {"a": [0, 2, 1], "b": [1, 2, 0]}}
+        # a dropped generator gets the permutation its relator forces, c = a b a
+        p = parse_presentation(SCREEN_PROOFS[3][0])
+        assert prove_infinite(p).to_json_dict() == {
+            "index": 3, "free_rank": 1,
+            "permutations": {"a": [0, 2, 1], "c": [2, 0, 1], "b": [1, 2, 0]}}
+
+    def test_tampered_proofs_rejected(self):
+        p = parse_presentation(SCREEN_PROOFS[0][0])
+        evidence = prove_infinite(p).to_json_dict()
+        perms = evidence["permutations"]
+        for g in p.generators:
+            for i, j in ((0, 1), (1, 2), (0, 2)):
+                tampered = {**perms, g: list(perms[g])}
+                tampered[g][i], tampered[g][j] = tampered[g][j], tampered[g][i]
+                assert infinitude_proof_error(p, 3, 1, tampered) is not None
+        assert infinitude_proof_error(p, 3, 1, {**perms, "x0": [0, 0, 1]}) is not None
+        assert infinitude_proof_error(p, 3, 2, perms) is not None
+        assert infinitude_proof_error(p, 3, 0, perms) is not None
+        # on two points with a swapping them, the stabiliser Z3 * Z3 has
+        # finite abelianization; with a fixing them, the action is not transitive
+        z2z3 = parse_presentation("gens: a b\nrel: a^2\nrel: b^3")
+        assert "free rank 0" in infinitude_proof_error(z2z3, 2, 1, {"a": [1, 0], "b": [0, 1]})
+        assert "transitive" in infinitude_proof_error(z2z3, 2, 1, {"a": [0, 1], "b": [0, 1]})
+
+    def test_finite_groups_are_never_flagged(self, fx1, klein4):
+        for p in SMALL_FINITE + [fx1, klein4, dihedral_plus_c(12), square_plus_c(6)]:
+            assert prove_infinite(p) is None
+
+    def test_differential_against_enumeration(self):
+        # a completed enumeration proves the group finite, so the screen must
+        # find nothing; every proof the screen finds must pass the oracle.  As
+        # many relators as generators, of 6 to 8 letters: mostly finite
+        # abelianizations, like the benchmark's random classes
+        rng = random.Random(1616)
+        finite = proofs = high_index = 0
+        for _ in range(300):
+            gens = tuple(f"g{i}" for i in range(rng.randint(2, 3)))
+            p = Presentation(gens, tuple(random_word(rng, gens, 8, 6) for _ in gens))
+            proof = prove_infinite(p)
+            if coset_enumeration(p, 300) is not None:
+                finite += 1
+                assert proof is None, p
+            if proof is not None:
+                proofs += 1
+                high_index += proof.index > 1
+                assert infinitude_proof_error(p, **proof.to_json_dict()) is None, p
+        assert finite >= 150 and proofs >= 50 and high_index >= 10
+
+    def test_fraction_free_rank_matches_numpy(self):
+        np = pytest.importorskip("numpy")
+        rng = random.Random(7)
+        for _ in range(500):
+            nrows, ncols = rng.randint(0, 7), rng.randint(1, 6)
+            rows = [[rng.choice((0, 0, 1, -1, 2, -3, 6)) for _ in range(ncols)]
+                    for _ in range(nrows)]
+            rows += rows[:rng.randint(0, nrows)]  # repeated rows, as lifted powers give
+            expected = int(np.linalg.matrix_rank(np.array(rows))) if rows else 0
+            assert cayley._rank(rows, ncols) == expected, rows
+
+    def test_search_budget_ends_the_screen(self, monkeypatch):
+        # with no search budget beyond the walk down and up the generators,
+        # Z2 * Z3 goes unproved and enumeration overflows
+        monkeypatch.setattr(cayley, "MAX_SCREEN_NODES", 0)
+        p = parse_presentation("gens: a b\nrel: a^2\nrel: b^3")
+        assert prove_infinite(p) is None
+        assert decide_finite(p, {"a"}, 100).reason == "enumeration exceeded 100 cosets"
+        # the index-1 case needs no budget
+        assert prove_infinite(parse_presentation("gens: a b\nrel: a^2")).index == 1
+
+
+class TestCosetLimit:
+    def test_limits_outside_the_range_are_refused(self, monkeypatch):
+        monkeypatch.setattr(cayley, "MAX_COSET_LIMIT", 50)
+        assert CheckConfig(coset_limit=50).coset_limit == 50
+        for bad in (0, -3, 51):
+            with pytest.raises(CayleyError, match="between 1 and 50") as exc:
+                CheckConfig(coset_limit=bad)
+            assert exc.value.code == "BAD_LIMIT"
+
+    def test_cli_exits_three(self, monkeypatch, capsys):
+        monkeypatch.setattr(cayley, "MAX_COSET_LIMIT", 50)
+        fx1 = str(FIXTURES / "fx1.pres")
+        assert main(["check", fx1, "--away-from", "a", "--coset-limit", "51"]) == 3
+        assert main(["check", fx1, "--away-from", "a", "--coset-limit", "0"]) == 3
+        assert capsys.readouterr().err.count("coset limit must be between 1 and 50") == 2
+        assert main(["check", fx1, "--away-from", "a", "--coset-limit", "50"]) == 1

@@ -296,6 +296,18 @@ class TestCommandLine:
         assert main(["check", pres, "--tests", "free", "--diagram", str(bad)]) == 3
         assert "malformed diagram JSON" in capsys.readouterr().err
 
+    def test_all_directions_on_one_generator_is_unknown(self, tmp_path, capsys):
+        # the fallback has no proper singleton subset to try
+        pres = tmp_path / "a2.pres"
+        pres.write_text("gens: a\nrel: a a\n")
+        assert main(["check", str(pres), "--all-directions"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert captured.out.splitlines() == [
+            "test onerel: unknown (relator is a proper power (period 1))",
+            "test forest: unknown (some relator has nonzero exponent sum)",
+            "UNKNOWN: no test was conclusive"]
+
     def test_unknown_sublot_name(self, capsys):
         assert main(["lot", str(FIXTURES / "fxl2.lot"), "--sublot", "Q"]) == 3
         capsys.readouterr()

@@ -3,6 +3,7 @@ import random
 import pytest
 
 from conftest import FIXTURES, random_presentation
+from ddr.cli import main
 from oracles import brute_folding_edges, vertex_count_from_links
 from ddr.core import free_edge_generators, parse_presentation
 from ddr.diagram import (BoundaryStep, DiagramEdge, DiagramError, DiagramFace,
@@ -40,7 +41,60 @@ def open_up(sphere, f, spur_label=None):
     return SurfaceDiagram(vertices, edges, sphere.faces[:f] + sphere.faces[f + 1:], (cycle,))
 
 
+PINCHED_PRES = "gens: a b c\nrel: a b a^-1 b^-1\nrel: c c\n"
+
+
+def pinched_torus_and_spheres():
+    """A one-vertex torus over relator 0 and two spheres, each the faces
+    `c c` and `c^-1 c^-1` over relator 1, chained at single vertices: the
+    torus vertex is a vertex of sphere 1, and sphere 1's other vertex one of
+    sphere 2.  Closed, connected, orientable and chi = 2, yet no sphere."""
+    edges = (DiagramEdge(0, "a", 0, 0), DiagramEdge(1, "b", 0, 0),
+             DiagramEdge(2, "c", 0, 1), DiagramEdge(3, "c", 1, 0),
+             DiagramEdge(4, "c", 1, 2), DiagramEdge(5, "c", 2, 1))
+    torus = DiagramFace(0, 1, (BoundaryStep(0, 1), BoundaryStep(1, 1),
+                               BoundaryStep(0, -1), BoundaryStep(1, -1)))
+    spheres = tuple(face for e, f in ((2, 3), (4, 5))
+                    for face in (DiagramFace(1, 1, (BoundaryStep(e, 1), BoundaryStep(f, 1))),
+                                 DiagramFace(1, -1, (BoundaryStep(f, -1), BoundaryStep(e, -1)))))
+    return SurfaceDiagram(3, edges, (torus,) + spheres)
+
+
 class TestValidate:
+    def test_pinched_complex_is_no_sphere(self):
+        p = parse_presentation(PINCHED_PRES)
+        report = validate_diagram(pinched_torus_and_spheres(), p)
+        assert report.valid and report.closed and report.orientable and report.connected
+        assert report.euler_characteristic == 2
+        assert report.pinched == (0, 1)
+        assert not report.sphere and not report.disc and report.surface_genus is None
+        with pytest.raises(DiagramError, match=r"pinched at vertices \[0, 1\]") as exc:
+            directed_verdict(pinched_torus_and_spheres(), p, {"c"})
+        assert exc.value.code == "UNSUPPORTED_SURFACE"
+
+    @pytest.mark.parametrize("command", ["diagram", "check"])
+    def test_pinched_complex_exits_three(self, command, tmp_path, capsys):
+        pres, diag = tmp_path / "p.pres", tmp_path / "d.json"
+        pres.write_text(PINCHED_PRES)
+        diag.write_text(dumps_diagram(pinched_torus_and_spheres()))
+        argv = (["diagram", str(diag), "--pres", str(pres)] if command == "diagram"
+                else ["check", str(pres), "--run-all", "--diagram", str(diag)])
+        assert main(argv + ["--away-from", "c"]) == 3
+        assert "neither a sphere nor a disc (pinched at vertices [0, 1])" in \
+            capsys.readouterr().err
+
+    def test_wedge_of_discs_is_a_singular_disc(self):
+        # two triangles sharing only vertex 0: capping the boundary walk
+        # through both gives a sphere, so the link at the cut vertex is one cycle
+        p = parse_presentation("gens: a b c x\nrel: a b c\nrel: x b c")
+        edges = (DiagramEdge(0, "a", 0, 1), DiagramEdge(1, "b", 1, 2), DiagramEdge(2, "c", 2, 0),
+                 DiagramEdge(3, "x", 0, 3), DiagramEdge(4, "b", 3, 4), DiagramEdge(5, "c", 4, 0))
+        faces = tuple(DiagramFace(r, 1, tuple(BoundaryStep(e, 1) for e in es))
+                      for r, es in ((0, (0, 1, 2)), (1, (3, 4, 5))))
+        cycle = tuple(BoundaryStep(e, -1) for e in (2, 1, 0, 5, 4, 3))
+        report = validate_diagram(SurfaceDiagram(5, edges, faces, (cycle,)), p)
+        assert report.valid and report.disc and report.pinched == ()
+
     def test_huge_vertex_count_is_disconnected_without_a_vertex_table(self):
         # a table of 10^12 vertices would exhaust memory; the edge count decides
         p = parse_presentation("gens: a b c\nrel: a b c")
