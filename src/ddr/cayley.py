@@ -13,11 +13,15 @@ filtered to the subcomplex; multiplicities only shrink).  That upgrades the
 finite-subcomplex characterization to a decision procedure when the group
 is finite.
 
-Because a live cell never loses a free edge, `directed_collapse` keeps a
-min-heap of the cells that have one and requeues the cells on an edge whose
-multiplicity drops to 1.  Each step takes the lowest-index such cell across
-its first free edge in boundary order, exactly what a rescan of all cells
-would pick, so the log does not depend on the worklist.
+The complex lives in flat integer arrays: edge (x, g_i) is x·k + i and
+cell (x, r) is x·m + r for k generators and m relators, and each cell is the
+list of its boundary's edge ids.  Because a live cell never loses a free
+edge, `directed_collapse` keeps a min-heap of the cells that have one; per
+edge it keeps the number of live sides and the XOR of their cells'
+positions, which names the last cell on an edge once one side is left.
+Each step takes the lowest-index candidate across its first free edge in
+boundary order, exactly what a rescan of all cells would pick, so the log
+does not depend on the worklist.
 
 On the full complex right translation permutes the group, so every edge
 labelled x lies on occ(x) cell sides, occ(x) being the number of occurrences
@@ -42,7 +46,6 @@ from __future__ import annotations
 
 import heapq
 import math
-from collections import Counter
 from dataclasses import dataclass
 from functools import cache, cached_property
 from itertools import permutations
@@ -88,25 +91,42 @@ class GroupTable:
         return out
 
     def validate(self, p: Presentation) -> None:
+        """Check that every generator acts as a permutation and every
+        relator acts trivially.  A relator acts as the composite of its runs
+        g^e, each power taken by squaring, so a run costs O(n log |e|), not
+        O(n |e|)."""
         n = self.element_count
         for g in p.generators:
-            images = self.forward[g]
-            if sorted(images) != list(range(n)):
+            if sorted(self.forward[g]) != list(range(n)):
                 raise CayleyError(f"action of {g!r} is not a permutation", code="BAD_TABLE")
-        for idx, rel in enumerate(p.relators):
+        for idx, runs in enumerate(_relator_runs(p)):
             # compose the relator's action on all elements at once
             image = list(range(n))
-            for letter in rel:
-                perm = self.forward[letter.gen] if letter.sign > 0 else self.backward[letter.gen]
-                image = [perm[e] for e in image]
-            for e in range(n):
-                if image[e] != e:
-                    raise CayleyError(f"relator {idx} does not act trivially from {e}",
+            for gi, e in runs:
+                g = p.generators[gi]
+                power = _permutation_power(self.forward[g] if e > 0 else self.backward[g], abs(e))
+                image = [power[x] for x in image]
+            for x in range(n):
+                if image[x] != x:
+                    raise CayleyError(f"relator {idx} does not act trivially from {x}",
                                       code="BAD_TABLE")
 
 
-# Highest `--coset-limit`: each defined coset holds a row of 2k table slots,
-# about 130 bytes at k = 4 generators, so the table stays near 130 MB.
+def _permutation_power(perm: Sequence[int], e: int) -> Sequence[int]:
+    """perm^e for e >= 1, by repeated squaring."""
+    result = None
+    while True:
+        if e & 1:
+            result = perm if result is None else [perm[x] for x in result]
+        e >>= 1
+        if not e:
+            return result
+        perm = [perm[x] for x in perm]
+
+
+# Highest `--coset-limit`: each defined coset holds 2k column slots and a
+# union-find slot, about 100 bytes at k = 4 generators (tracemalloc at limits
+# of 2,000 and 8,000 cosets), so the table stays near 100 MB.
 MAX_COSET_LIMIT = 1_000_000
 
 
@@ -118,22 +138,21 @@ def check_coset_limit(limit: int) -> None:
 
 def coset_enumeration(p: Presentation, limit: int) -> Optional[GroupTable]:
     """Deterministic coset enumeration over the trivial subgroup (relator
-    scan with fill, then row completion, with coincidence processing).
+    scan with fill, then row completion, with coincidence processing), in
+    the Haselgrove-Leech-Trotter order.  The table is one list per column,
+    -1 where undefined; column 2i is generator i and 2i + 1 its inverse.
     Returns None when more than `limit` cosets would ever be defined; None
     says nothing about the group being infinite."""
     ncols = 2 * len(p.generators)
-    col = {}
-    for i, g in enumerate(p.generators):
-        col[(g, 1)] = 2 * i
-        col[(g, -1)] = 2 * i + 1
-
-    def inv_col(c: int) -> int:
-        return c ^ 1
-
-    rel_cols = [[col[(l.gen, l.sign)] for l in rel] for rel in p.relators]
-
-    table: list[list[Optional[int]]] = [[None] * ncols]
-    rep: list[int] = [0]
+    index = {g: i for i, g in enumerate(p.generators)}
+    cols: list[list[int]] = [[-1] for _ in range(ncols)]
+    rep: list[int] = [0]  # union-find parent of each coset
+    # per relator: its letters' columns, and the column lists of its letters
+    # and of their inverses
+    scans = []
+    for rel in p.relators:
+        word = [2 * index[l.gen] + (l.sign < 0) for l in rel]
+        scans.append((word, [cols[c] for c in word], [cols[c ^ 1] for c in word]))
 
     def find(a: int) -> int:
         while rep[a] != a:
@@ -141,15 +160,18 @@ def coset_enumeration(p: Presentation, limit: int) -> Optional[GroupTable]:
             a = rep[a]
         return a
 
-    def define(a: int, c: int) -> Optional[int]:
-        if len(table) >= limit:
-            return None
-        b = len(table)
-        table.append([None] * ncols)
+    def define(a: int, c: int) -> bool:
+        b = len(rep)
+        if b >= limit:
+            return False
+        if b == len(cols[c]):  # the columns double, up to the limit
+            grow = [-1] * min(b, limit - b)
+            for col in cols:
+                col.extend(grow)
         rep.append(b)
-        table[a][c] = b
-        table[b][inv_col(c)] = a
-        return b
+        cols[c][a] = b
+        cols[c ^ 1][b] = a
+        return True
 
     merge_queue: list[int] = []
 
@@ -165,85 +187,100 @@ def coset_enumeration(p: Presentation, limit: int) -> Optional[GroupTable]:
         while merge_queue:
             dead = merge_queue.pop()
             for c in range(ncols):
-                dst = table[dead][c]
-                if dst is None:
+                col, inv = cols[c], cols[c ^ 1]
+                dst = col[dead]
+                if dst < 0:
                     continue
-                table[dead][c] = None
-                if table[dst][inv_col(c)] == dead:
-                    table[dst][inv_col(c)] = None
+                col[dead] = -1
+                if inv[dst] == dead:
+                    inv[dst] = -1
                 a, b = find(dead), find(dst)
-                existing = table[a][c]
-                if existing is not None:
-                    merge(existing, b)
-                elif table[b][inv_col(c)] is not None:
-                    merge(a, table[b][inv_col(c)])
+                if col[a] >= 0:
+                    merge(col[a], b)
+                elif inv[b] >= 0:
+                    merge(a, inv[b])
                 else:
-                    table[a][c] = b
-                    table[b][inv_col(c)] = a
+                    col[a] = b
+                    inv[b] = a
 
-    def scan_and_fill(alpha: int, word_cols: list[int]) -> bool:
-        # returns False when the coset limit was hit
+    def scan_and_fill(alpha: int, word: list[int], fwd: list[list[int]],
+                      inv: list[list[int]]) -> bool:
+        """Scan the relator from alpha, defining cosets until it closes.
+        Entries are only added between definitions, so each scan resumes
+        where the last one stopped, with the table it would find from the
+        start.  Returns False when the coset limit was hit."""
+        n = len(word)
+        f = alpha
+        for i, col in enumerate(fwd):
+            nxt = col[f]
+            if nxt < 0:
+                break
+            f = nxt
+        else:
+            if f != alpha:
+                merge(f, alpha)
+                process_coincidences()
+            return True
+        # letters 0..i-1 lead from alpha to f, letters j+1..n-1 from b to alpha
+        b, j = alpha, n - 1
         while True:
-            f, i = alpha, 0
-            n = len(word_cols)
-            while i < n:
-                nxt = table[f][word_cols[i]]
-                if nxt is None:
-                    break
-                f, i = nxt, i + 1
-            if i == n:
-                if f != alpha:
-                    merge(f, alpha)
-                    process_coincidences()
-                return True
-            b, j = alpha, n - 1
+            if j < i:  # the forward trace overtook the backward one: trace afresh
+                b, j = alpha, n - 1
             while j >= i:
-                prv = table[b][inv_col(word_cols[j])]
-                if prv is None:
+                prv = inv[j][b]
+                if prv < 0:
                     break
-                b, j = prv, j - 1
+                b = prv
+                j -= 1
             if j < i:
                 merge(f, b)
                 process_coincidences()
                 return True
             if j == i:
-                table[f][word_cols[i]] = b
-                table[b][inv_col(word_cols[i])] = f
-                continue
-            if define(f, word_cols[i]) is None:
+                # a deduction; the table stays a partial bijection, so the
+                # relator now closes at alpha
+                fwd[i][f] = b
+                inv[i][b] = f
+                return True
+            if not define(f, word[i]):
                 return False
+            while i < n:
+                nxt = fwd[i][f]
+                if nxt < 0:
+                    break
+                f = nxt
+                i += 1
+            if i == n:
+                if f != alpha:
+                    merge(f, alpha)
+                    process_coincidences()
+                return True
 
     alpha = 0
-    while alpha < len(table):
-        if find(alpha) != alpha:
-            alpha += 1
-            continue
-        for word_cols in rel_cols:
-            if not scan_and_fill(alpha, word_cols):
-                return None
-            if find(alpha) != alpha:
-                break
-        if find(alpha) != alpha:
-            alpha += 1
-            continue
-        for c in range(ncols):
-            if table[alpha][c] is None:
-                if define(alpha, c) is None:
+    while alpha < len(rep):
+        if find(alpha) == alpha:
+            for scan in scans:
+                if not scan_and_fill(alpha, *scan):
                     return None
+                if find(alpha) != alpha:
+                    break
+            else:
+                for c, col in enumerate(cols):
+                    if col[alpha] < 0 and not define(alpha, c):
+                        return None
         alpha += 1
 
-    live = [a for a in range(len(table)) if find(a) == a]
-    index = {a: i for i, a in enumerate(live)}
+    live = [a for a in range(len(rep)) if find(a) == a]
+    number = [-1] * len(rep)
+    for i, a in enumerate(live):
+        number[a] = i
     forward = {}
-    for g in p.generators:
-        c = col[(g, 1)]
-        images = []
-        for a in live:
-            dst = table[a][c]
-            if dst is None:
-                raise CayleyError("incomplete table after enumeration", code="BAD_TABLE")
-            images.append(index[find(dst)])
-        forward[g] = tuple(images)
+    for g, gi in index.items():
+        col = cols[2 * gi]
+        images = [col[a] for a in live]
+        if min(images) < 0:
+            raise CayleyError("incomplete table after enumeration", code="BAD_TABLE")
+        forward[g] = tuple(number[find(dst)] for dst in images)
     result = GroupTable(tuple(p.generators), forward)
     result.validate(p)
     return result
@@ -254,7 +291,8 @@ def coset_enumeration(p: Presentation, limit: int) -> Optional[GroupTable]:
 CayleyEdge = tuple[int, str]  # (element, generator)
 
 # Most boundary sides (|G| times the total relator length) a complex may have
-# before `decide_finite` builds it; each side costs about a hundred bytes.
+# before `decide_finite` builds it; building and collapsing cost about 20 to
+# 35 bytes per side (tracemalloc on D_50+c, D_100+c and Z_12 x Z_12+c).
 MAX_COMPLEX_SIDES = 1_000_000
 
 
@@ -265,11 +303,71 @@ class CayleyCell:
     boundary: tuple[tuple[CayleyEdge, int], ...]  # (edge, direction)
 
 
+class CellArrays(NamedTuple):
+    """A sequence of 2-cells as integers.  Edge (element, generators[i]) has
+    id element·k + i and cell (element, relator index r) has id element·m + r,
+    for k generators and m relators."""
+
+    generators: tuple[str, ...]
+    relator_count: int
+    ids: Sequence[int]              # the id of each cell, in sequence order
+    sides: Sequence[Sequence[int]]  # each cell's boundary as edge ids, in order
+    element_count: int              # every element is below it
+
+    @property
+    def edge_count(self) -> int:
+        return self.element_count * len(self.generators)
+
+    def cell(self, position: int) -> tuple[int, int]:
+        return divmod(self.ids[position], self.relator_count)
+
+    def edge(self, edge_id: int) -> CayleyEdge:
+        element, gi = divmod(edge_id, len(self.generators))
+        return element, self.generators[gi]
+
+
+class CellView(Sequence):
+    """Cells of a `CellArrays` as `CayleyCell`s, each built when indexed."""
+
+    def __init__(self, arrays: CellArrays, signs: Sequence[tuple[int, ...]]):
+        self.arrays = arrays
+        self._signs = signs  # per relator, the direction of each boundary side
+
+    def __len__(self) -> int:
+        return len(self.arrays.ids)
+
+    def __getitem__(self, position: int) -> CayleyCell:
+        a = self.arrays
+        element, r = a.cell(position)
+        return CayleyCell(element, r, tuple((a.edge(e), sign) for e, sign
+                                            in zip(a.sides[position], self._signs[r])))
+
+
+def _cell_arrays(cells: Sequence[CayleyCell]) -> CellArrays:
+    """The arrays of a complex's cells, or of any other sequence of cells,
+    with the generators numbered in order of first appearance."""
+    if isinstance(cells, CellView):
+        return cells.arrays
+    gens: dict[str, int] = {}
+    for cell in cells:
+        for (_, g), _ in cell.boundary:
+            gens.setdefault(g, len(gens))
+    k, m = len(gens), 1 + max((c.relator_index for c in cells), default=0)
+    sides = [[element * k + gens[g] for (element, g), _ in cell.boundary] for cell in cells]
+    n = 1 + max((element for cell in cells for (element, _), _ in cell.boundary), default=-1)
+    return CellArrays(tuple(gens), m, [c.element * m + c.relator_index for c in cells], sides, n)
+
+
 @dataclass(frozen=True)
 class CayleyComplex:
     table: GroupTable
     presentation: Presentation
-    cells: tuple[CayleyCell, ...]
+    arrays: CellArrays
+
+    @cached_property
+    def cells(self) -> Sequence[CayleyCell]:
+        return CellView(self.arrays, [tuple(l.sign for l in rel)
+                                      for rel in self.presentation.relators])
 
     @property
     def vertex_count(self) -> int:
@@ -281,31 +379,38 @@ class CayleyComplex:
 
     @property
     def two_cell_count(self) -> int:
-        return len(self.cells)
+        return len(self.arrays.ids)
 
 
 def build_cayley_complex(table: GroupTable, p: Presentation) -> CayleyComplex:
-    n = table.element_count
-    # one shared tuple per edge, so boundaries hold references, not copies
-    edges = [{g: (element, g) for g in p.generators} for element in range(n)]
-    lifts = [[(l.gen, l.sign, (table.forward if l.sign > 0 else table.backward)[l.gen])
-              for l in rel] for rel in p.relators]
-    cells = []
-    for element in range(n):
-        for r_idx, lift in enumerate(lifts):
-            steps = []
-            cur = element
-            for gen, sign, images in lift:
-                if sign > 0:
-                    steps.append((edges[cur][gen], 1))
-                    cur = images[cur]
-                else:
-                    cur = images[cur]
-                    steps.append((edges[cur][gen], -1))
-            if cur != element:
-                raise CayleyError("relator lift does not close", code="BAD_TABLE")
-            cells.append(CayleyCell(element, r_idx, tuple(steps)))
-    return CayleyComplex(table, p, tuple(cells))
+    """The cells of the universal cover, relator r at element x having id
+    x·m + r.  Each relator is lifted at all elements at once, one letter at
+    a time: the letter's sides form one column, and the cells' boundaries
+    are the rows."""
+    n, k = table.element_count, len(p.generators)
+    index = {g: i for i, g in enumerate(p.generators)}
+    # edge ids by generator and element, so that the boundaries share them
+    edge_ids = [list(range(gi, n * k, k)) for gi in range(k)]
+    start = list(range(n))
+    per_relator = []
+    for rel in p.relators:
+        cur, columns = start, []
+        for l in rel:
+            ids = edge_ids[index[l.gen]]
+            if l.sign > 0:
+                columns.append([ids[x] for x in cur])
+                images = table.forward[l.gen]
+                cur = [images[x] for x in cur]
+            else:
+                images = table.backward[l.gen]
+                cur = [images[x] for x in cur]
+                columns.append([ids[x] for x in cur])
+        if cur != start:
+            raise CayleyError("relator lift does not close", code="BAD_TABLE")
+        per_relator.append(list(zip(*columns)) if columns else [()] * n)
+    sides = [side for at_element in zip(*per_relator) for side in at_element]
+    return CayleyComplex(table, p, CellArrays(tuple(p.generators), len(p.relators),
+                                              range(len(sides)), sides, n))
 
 
 @dataclass(frozen=True)
@@ -329,6 +434,17 @@ class CollapseLog:
         }
 
 
+def _incidence(a: CellArrays) -> tuple[list[int], list[int]]:
+    """Per edge id, the number of cell sides on it, and the XOR of the
+    positions of those sides' cells: once one side is left, its cell."""
+    multiplicity, cells_xor = [0] * a.edge_count, [0] * a.edge_count
+    for ci, side in enumerate(a.sides):
+        for e in side:
+            multiplicity[e] += 1
+            cells_xor[e] ^= ci
+    return multiplicity, cells_xor
+
+
 def directed_collapse(cells: Sequence[CayleyCell], p: Presentation, subset) -> CollapseLog:
     """Greedily collapse 2-cells not carried by the subset across free edges
     whose generator is outside the subset; COLLAPSED when only carried cells
@@ -340,44 +456,37 @@ def directed_collapse(cells: Sequence[CayleyCell], p: Presentation, subset) -> C
     popped, since a live cell never loses a free edge.  Any sub-sequence of
     a complex's cells is accepted."""
     s = frozenset(subset)
-    carried = {j for j, r in enumerate(p.relators) if word_support(r) <= s}
-    ids: dict[CayleyEdge, int] = {}
-    sides = [[ids.setdefault(edge, len(ids)) for edge, _ in cell.boundary] for cell in cells]
-    multiplicity = [0] * len(ids)
-    for side in sides:
-        for e in side:
-            multiplicity[e] += 1
-    # edge -> uncarried cells on it; None for edges whose generator is in the subset
-    on_edge: list[Optional[list[int]]] = [None if edge[1] in s else [] for edge in ids]
-    for ci, cell in enumerate(cells):
-        if cell.relator_index not in carried:
-            for e in sides[ci]:
-                if on_edge[e] is not None:
-                    on_edge[e].append(ci)
-    queued = [cell.relator_index not in carried and
-              any(multiplicity[e] == 1 and on_edge[e] is not None for e in side)
-              for cell, side in zip(cells, sides)]
-    heap = [ci for ci, q in enumerate(queued) if q]  # ascending, so already a heap
-    edge_of = list(ids)
+    a = _cell_arrays(cells)
+    m = a.relator_count
+    carried = [word_support(r) <= s for r in p.relators]
+    # per edge id: may it be collapsed across, its generator being outside the subset
+    outside = bytes(g not in s for g in a.generators) * a.element_count
+    # 0: open, 1: queued, 2: carried, never collapsed
+    state = bytearray(2 if carried[cid % m] else 0 for cid in a.ids)
+    multiplicity, cells_xor = _incidence(a)
+    heap = []
+    for e, count in enumerate(multiplicity):
+        if count == 1 and outside[e] and not state[cells_xor[e]]:
+            state[cells_xor[e]] = 1
+            heap.append(cells_xor[e])
+    heapq.heapify(heap)
+    sides = a.sides
     steps: list[CollapseStep] = []
     while heap:
         ci = heapq.heappop(heap)
         side = sides[ci]
-        free = next(e for e in side if multiplicity[e] == 1 and on_edge[e] is not None)
-        steps.append(CollapseStep((cells[ci].element, cells[ci].relator_index), edge_of[free]))
+        free = next(e for e in side if multiplicity[e] == 1 and outside[e])
+        steps.append(CollapseStep(a.cell(ci), a.edge(free)))
         for e in side:
             multiplicity[e] -= 1
+            cells_xor[e] ^= ci
         for e in side:
-            if multiplicity[e] == 1 and on_edge[e]:
-                for cj in on_edge[e]:
-                    if not queued[cj]:
-                        queued[cj] = True
-                        heapq.heappush(heap, cj)
+            if multiplicity[e] == 1 and outside[e] and not state[cells_xor[e]]:
+                state[cells_xor[e]] = 1
+                heapq.heappush(heap, cells_xor[e])
     # every queued cell has been collapsed once the heap is empty
-    remaining = [ci for ci, q in enumerate(queued) if not q]
-    residual = tuple((cells[ci].element, cells[ci].relator_index) for ci in remaining)
-    verdict = COLLAPSED if all(cells[ci].relator_index in carried for ci in remaining) else STUCK
-    return CollapseLog(tuple(steps), residual, verdict)
+    residual = tuple(a.cell(ci) for ci, st in enumerate(state) if st != 1)
+    return CollapseLog(tuple(steps), residual, STUCK if 0 in state else COLLAPSED)
 
 
 def replay_collapse(cells: Sequence[CayleyCell], subset,
@@ -385,24 +494,31 @@ def replay_collapse(cells: Sequence[CayleyCell], subset,
     """Re-execute a collapse log from scratch, checking each step's edge is
     free at its time and its generator outside the subset."""
     s = frozenset(subset)
-    by_key = {(c.element, c.relator_index): i for i, c in enumerate(cells)}
-    multiplicity: Counter = Counter()
-    alive = set(range(len(cells)))
-    for ci in alive:
-        for edge, _ in cells[ci].boundary:
-            multiplicity[edge] += 1
+    a = _cell_arrays(cells)
+    k, m = len(a.generators), a.relator_count
+    # the generators a step may collapse across, by index
+    gens = {g: i for i, g in enumerate(a.generators) if g not in s}
+    position = {cid: ci for ci, cid in enumerate(a.ids)}
+    alive = bytearray(b"\x01") * len(a.ids)
+    multiplicity, _ = _incidence(a)
     for step in steps:
-        ci = by_key.get(step.cell)
-        if ci is None or ci not in alive:
+        if len(step.cell) != 2 or len(step.edge) != 2:
             return False
-        if step.edge[1] in s or multiplicity[step.edge] != 1:
+        (element, r), (edge_element, g) = step.cell, step.edge
+        ci = position.get(element * m + r) if _whole(element) and _whole(r) and r < m else None
+        if ci is None or not alive[ci] or g not in gens or not _whole(edge_element):
             return False
-        if all(edge != step.edge for edge, _ in cells[ci].boundary):
+        e = edge_element * k + gens[g]
+        if e not in a.sides[ci] or multiplicity[e] != 1:
             return False
-        alive.remove(ci)
-        for edge, _ in cells[ci].boundary:
-            multiplicity[edge] -= 1
+        alive[ci] = 0
+        for e in a.sides[ci]:
+            multiplicity[e] -= 1
     return True
+
+
+def _whole(x) -> bool:
+    return isinstance(x, int) and x >= 0
 
 
 # --- the infinitude screen ---------------------------------------------------

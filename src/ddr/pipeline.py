@@ -31,7 +31,7 @@ from .core import (Presentation, check_preconditions, free_edge_generators,
                    word_stats, word_support)
 from .diagram import REFUTES, DirectedVerdict, SurfaceDiagram, directed_verdict
 from .smallcancel import SmallCancellationError, certify_s44
-from .weights import (WeightAssignment, WeightError, search_weights,
+from .weights import (SearchBudgetSpent, WeightAssignment, WeightError, search_weights,
                       verify_weight_test)
 from .whitehead import NEGATIVE, POSITIVE, GraphView, build_whitehead, is_forest
 
@@ -123,6 +123,8 @@ def _weight_test(p: Presentation, s: frozenset[str], digest: str, config: CheckC
             source, wcert = "supplied", verify_weight_test(p, s, config.weights)
     except WeightError as exc:
         return None, _attempt("weight", "skipped", f"{exc.code}: {exc}")
+    except SearchBudgetSpent as exc:
+        return None, _attempt("weight", "unknown", str(exc))
     if wcert is None:
         return None, _attempt("weight", "unknown",
                               "linear program infeasible; the test is sufficient, "

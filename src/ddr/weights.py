@@ -43,7 +43,7 @@ from .whitehead import (WhiteheadGraph, build_whitehead, min_weight_reduced_cycl
 
 # a linear row: coefficients by variable, "<=" or ">=", right-hand side
 Constraint = tuple[Mapping[int, Fraction], str, Fraction]
-# search_weights gives up with a RuntimeError after this many cuts
+# search_weights gives up with SearchBudgetSpent after this many rounds of cuts
 MAX_SEARCH_ROUNDS = 10000
 
 
@@ -51,6 +51,11 @@ class WeightError(ValueError):
     def __init__(self, message: str, *, code: str):
         super().__init__(message)
         self.code = code
+
+
+class SearchBudgetSpent(Exception):
+    """The cutting-plane search ran `MAX_SEARCH_ROUNDS` rounds without an
+    answer; like infeasibility, this refutes nothing."""
 
 
 @dataclass(frozen=True)
@@ -186,7 +191,8 @@ def search_weights(p: Presentation, subset) -> Optional[WeightCertificate]:
 
     Returns the verified certificate of the assignment found, or None when
     the linear program is infeasible.  None does not refute anything: the
-    weight test is sufficient, not necessary.
+    weight test is sufficient, not necessary.  Raises SearchBudgetSpent
+    after `MAX_SEARCH_ROUNDS` rounds.
     """
     s = check_preconditions(p, subset, WeightError)
     graph = build_whitehead(p)
@@ -233,7 +239,9 @@ def search_weights(p: Presentation, subset) -> Optional[WeightCertificate]:
             if not feasible:
                 break
             weights = current()
-    raise RuntimeError("cutting-plane loop exceeded MAX_SEARCH_ROUNDS")
+    raise SearchBudgetSpent(f"weight search spent its budget of {MAX_SEARCH_ROUNDS} "
+                            "cutting-plane rounds; the test is sufficient, not necessary, "
+                            "so this refutes nothing")
 
 
 def _check_infeasibility_proof(lower: Mapping[int, Fraction], constraints: list[Constraint],

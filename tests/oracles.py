@@ -6,8 +6,9 @@ from fractions import Fraction
 from itertools import product
 from typing import Mapping
 
-from ddr.cayley import COLLAPSED, STUCK, CollapseLog, CollapseStep
-from ddr.core import Letter, Word, inverse_word, word_support
+from ddr.cayley import (COLLAPSED, STUCK, CayleyCell, CayleyError, CollapseLog, CollapseStep,
+                        GroupTable)
+from ddr.core import Letter, Presentation, Word, inverse_word, word_support
 from ddr.diagram import SurfaceDiagram
 from ddr.lot import LOT, LotEdge, LotError
 from ddr.whitehead import WhiteheadGraph
@@ -323,6 +324,42 @@ def infinitude_proof_error(p, index: int, free_rank: int,
         rank += 1
     if len(column) - rank != free_rank:
         return f"the stabiliser has free rank {len(column) - rank}, not {free_rank}"
+    return None
+
+
+def tuple_complex(table: GroupTable, p: Presentation) -> tuple[CayleyCell, ...]:
+    """Reference covering complex: each cell lifted letter by letter from its
+    element, its boundary as ((element, generator), direction) tuples, in
+    order of element, then relator."""
+    cells = []
+    for element in range(table.element_count):
+        for r_idx, rel in enumerate(p.relators):
+            steps, cur = [], element
+            for letter in rel:
+                if letter.sign > 0:
+                    steps.append(((cur, letter.gen), 1))
+                    cur = table.forward[letter.gen][cur]
+                else:
+                    cur = table.forward[letter.gen].index(cur)
+                    steps.append(((cur, letter.gen), -1))
+            if cur != element:
+                raise CayleyError("relator lift does not close", code="BAD_TABLE")
+            cells.append(CayleyCell(element, r_idx, tuple(steps)))
+    return tuple(cells)
+
+
+def first_nontrivial_relator(table: GroupTable, p: Presentation) -> tuple[int, int] | None:
+    """(relator index, element) of the first relator, applied letter by
+    letter, that does not return some element to itself, at the first such
+    element; None when every relator acts trivially."""
+    for idx, rel in enumerate(p.relators):
+        for element in range(table.element_count):
+            cur = element
+            for letter in rel:
+                images = table.forward[letter.gen]
+                cur = images[cur] if letter.sign > 0 else images.index(cur)
+            if cur != element:
+                return idx, element
     return None
 
 

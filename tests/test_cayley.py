@@ -5,12 +5,13 @@ from itertools import combinations
 import pytest
 
 from conftest import FIXTURES, random_word
-from oracles import infinitude_proof_error, rescan_collapse
+from oracles import (first_nontrivial_relator, infinitude_proof_error, rescan_collapse,
+                     tuple_complex)
 from ddr import cayley
 from ddr.cli import main
 from ddr.core import Presentation, parse_presentation
-from ddr.cayley import (COLLAPSED, STUCK, CayleyError, GroupTable, abelian_free_rank,
-                        build_cayley_complex, coset_enumeration,
+from ddr.cayley import (COLLAPSED, STUCK, CayleyError, CollapseStep, GroupTable,
+                        abelian_free_rank, build_cayley_complex, coset_enumeration,
                         decide_finite, directed_collapse, prove_infinite, replay_collapse)
 from ddr.pipeline import CheckConfig, run_check
 
@@ -95,6 +96,46 @@ class TestEnumeration:
             GroupTable(("a", "b"), {"a": (1, 0), "b": (0, 0)}).validate(p)
 
 
+class TestValidate:
+    """Each relator is composed one run g^e at a time, by powers; every
+    tampered table must still be refused, naming the relator and element
+    that the letter-by-letter composition finds first."""
+
+    @staticmethod
+    def assert_refused(table, p):
+        idx, element = first_nontrivial_relator(table, p)
+        with pytest.raises(CayleyError, match=f"^relator {idx} does not act trivially "
+                                              f"from {element}$") as exc:
+            table.validate(p)
+        assert exc.value.code == "BAD_TABLE"
+
+    def test_powers_of_a_cyclic_table(self):
+        table = coset_enumeration(cyclic(6), 100)
+        for bad in ("a^4", "a^-7", "a^6 a^-1"):
+            self.assert_refused(table, parse_presentation(f"gens: a\nrel: a^6\nrel: {bad}"))
+        table.validate(parse_presentation("gens: a\nrel: a^12\nrel: a^-18\nrel: a^5 a^-5"))
+
+    def test_swapped_images_in_a_dihedral_table(self):
+        p = dihedral_plus_c(50)
+        table = coset_enumeration(p, 1000)
+        rng = random.Random(50)
+        for g in p.generators:
+            for _ in range(3):
+                x, y = rng.sample(range(table.element_count), 2)
+                images = list(table.forward[g])
+                images[x], images[y] = images[y], images[x]
+                self.assert_refused(GroupTable(table.generators,
+                                               {**table.forward, g: tuple(images)}), p)
+
+    def test_runs_of_both_signs(self):
+        s3 = parse_presentation("gens: s t\nrel: s^2\nrel: t^3\nrel: s t s t")
+        table = coset_enumeration(s3, 100)
+        # s^3 t^-2 s^-1 t^4 = s t s t = 1, while s^3 t^-1 s^-1 t^4 = t^2
+        table.validate(parse_presentation("gens: s t\nrel: s^3 t^-2 s^-1 t^4"))
+        self.assert_refused(table, parse_presentation("gens: s t\nrel: s^2\n"
+                                                      "rel: s^3 t^-1 s^-1 t^4"))
+
+
 class TestComplex:
     def test_fx1_counts(self, fx1):
         table = coset_enumeration(fx1, 3000)
@@ -156,7 +197,6 @@ class TestCollapse:
     def test_bad_replay_rejected(self, fx1):
         cx = build_cayley_complex(coset_enumeration(fx1, 3000), fx1)
         log = directed_collapse(cx.cells, fx1, {"a", "b"})
-        from ddr.cayley import CollapseStep
         fake = (CollapseStep((0, 0), (0, "a")),)
         assert not replay_collapse(cx.cells, {"a", "b"}, fake)
 
@@ -274,6 +314,61 @@ class TestWorklist:
             expected = {(e, g): occ[g] for e in range(table.element_count)
                         for g in p.generators if occ[g]}
             assert dict(multiplicity) == expected
+
+
+class TestFlatKernel:
+    """The integer-array complex against the tuple-built reference, and its
+    collapse against the rescan oracle, on whole complexes and on random
+    sub-sequences of their cells."""
+
+    # the edges a step may not collapse across
+    ILLEGAL = ("free but in the subset", "outside the subset but not free", "off the cell")
+
+    @staticmethod
+    def tampered(cells, s, steps, rng, want):
+        """The log with one step's edge replaced by an illegal one of kind
+        `want` if some step admits one, else of another kind; and the kind."""
+        multiplicity = Counter(edge for cell in cells for edge, _ in cell.boundary)
+        by_key = {(c.element, c.relator_index): c for c in cells}
+        found = {kind: [] for kind in TestFlatKernel.ILLEGAL}
+        for i, step in enumerate(steps):
+            on_cell = sorted({edge for edge, _ in by_key[step.cell].boundary})
+            for kind, edges in zip(TestFlatKernel.ILLEGAL, (
+                    [e for e in on_cell if e[1] in s and multiplicity[e] == 1],
+                    [e for e in on_cell if e[1] not in s and multiplicity[e] != 1],
+                    sorted(set(multiplicity) - set(on_cell)))):
+                found[kind] += [(i, e) for e in edges]
+            multiplicity.subtract(edge for edge, _ in by_key[step.cell].boundary)
+        kind = want if found[want] else rng.choice([k for k, edges in found.items() if edges])
+        i, edge = rng.choice(found[kind])
+        return steps[:i] + (CollapseStep(steps[i].cell, edge),) + steps[i + 1:], kind
+
+    def test_matches_tuple_reference_and_rescan_oracle(self):
+        rng = random.Random(1717)
+        tampered = Counter()
+        for _ in range(40):
+            base = (dihedral_plus_c(rng.randint(2, 7)) if rng.random() < 0.5
+                    else square_plus_c(rng.randint(2, 4)))
+            p = Presentation(tuple(rng.sample(base.generators, 3)),
+                             tuple(rng.sample(base.relators, 4)))
+            table = coset_enumeration(p, 3000)
+            reference = tuple_complex(table, p)
+            cells = build_cayley_complex(table, p).cells
+            assert len(cells) == len(reference) and tuple(cells) == reference
+            assert cells[-1] == reference[-1]
+            s = set(rng.sample(p.generators, rng.randint(0, 2)))
+            keep = rng.uniform(0.2, 0.8)
+            sub = tuple(c for c in reference if rng.random() < keep)
+            for seq in (cells, reference, sub):
+                log = directed_collapse(seq, p, s)
+                assert log == rescan_collapse(seq, p, s)
+                assert replay_collapse(seq, s, log.steps)
+                if log.steps:
+                    want = self.ILLEGAL[sum(tampered.values()) % 3]
+                    bad, kind = self.tampered(seq, s, log.steps, rng, want)
+                    tampered[kind] += 1
+                    assert not replay_collapse(seq, s, bad), kind
+        assert all(tampered[kind] >= 5 for kind in self.ILLEGAL), tampered
 
 
 class TestSubcomplex:

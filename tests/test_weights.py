@@ -1,12 +1,16 @@
+import json
 import random
 from collections import Counter
 from fractions import Fraction
 
 import pytest
 
+from conftest import FIXTURES
 from ddr import weights
-from ddr.core import parse_presentation
-from ddr.weights import (Tableau, WeightAssignment, WeightError, farkas_refutes,
+from ddr.cli import main
+from ddr.core import parse_presentation, subpresentation
+from ddr.pipeline import CheckConfig, presentation_dr, run_check
+from ddr.weights import (SearchBudgetSpent, Tableau, WeightAssignment, WeightError, farkas_refutes,
                          search_weights, solve_feasibility, verify_weight_test)
 from ddr.whitehead import build_whitehead, min_weight_reduced_cycle
 
@@ -269,3 +273,32 @@ class TestTableau:
                             lambda *args: proofs.append(check(*args)))
         assert search_weights(parse_presentation(text), frozenset(subset)) is None
         assert proofs == [None]
+
+
+class TestSearchBudget:
+    def test_spent_budget_ends_the_attempt_as_unknown(self, monkeypatch, tmp_path, capsys):
+        monkeypatch.setattr(weights, "MAX_SEARCH_ROUNDS", 0)
+        out = tmp_path / "report.json"
+        assert main(["check", str(FIXTURES / "fx3.pres"), "--away-from", "y1,y2",
+                     "--tests", "weight", "--json", str(out)]) == 2
+        assert json.loads(out.read_text())["attempts"] == [{
+            "test": "weight", "status": "unknown",
+            "reason": "weight search spent its budget of 0 cutting-plane rounds; the test "
+                      "is sufficient, not necessary, so this refutes nothing"}]
+        capsys.readouterr()
+
+    def test_spent_budget_in_a_consequence_is_a_ladder_miss(self, monkeypatch):
+        # Z_3 x Z_3 + c away from {a, b} is decided DR, and the asphericity
+        # consequence runs the weight search on <a, b | a^3, b^3, [a, b]>
+        p = parse_presentation("gens: a b c\nrel: a^3\nrel: b^3\nrel: a b a^-1 b^-1\n"
+                               "rel: c b a")
+        carried = subpresentation(p, frozenset({"a", "b"}))
+        config = CheckConfig(tests=("finite",))
+        unbudgeted = run_check(p, {"a", "b"}, config).to_json()
+        monkeypatch.setattr(weights, "MAX_SEARCH_ROUNDS", 1)
+        with pytest.raises(SearchBudgetSpent, match="budget of 1 cutting-plane rounds"):
+            search_weights(carried, frozenset())
+        assert presentation_dr(carried) is None
+        report = run_check(p, {"a", "b"}, config)
+        assert report.certificates[0].verdict == "DECIDED_DR"
+        assert report.to_json() == unbudgeted
