@@ -164,7 +164,7 @@ def main(argv=None) -> int:
     lot.add_argument("file")
     lot.add_argument("--sublot", default="", help="certify this named sub-LOT only")
     lot.add_argument("--reorient", action="store_true",
-                     help="search for a reorientation with a forest positive graph")
+                     help="find a reorientation with a forest positive graph")
     lot.add_argument("--json", default="")
     lot.set_defaults(func=_cmd_lot)
 

@@ -120,6 +120,8 @@ def validate_diagram(d: SurfaceDiagram, p: Presentation) -> ValidationReport:
     ids = [e.id for e in d.edges]
     if len(set(ids)) != len(ids):
         errors.append("duplicate edge ids")
+    if d.vertex_count < 0:
+        errors.append("negative vertex count")
     gens = p.generator_set
     for e in d.edges:
         if e.label not in gens:

@@ -1,5 +1,6 @@
 """Labeled oriented trees: parsing, presentations, sub-LOT lattice,
-collapse, reorientation search, and the collapse-transfer certificate.
+collapse, reorientation by leaf peeling, and the collapse-transfer
+certificate.
 
 A LOT is a tree with oriented edges labeled by vertices.  Each edge
 (source u1, target u2, label u3) contributes the relator u1 u3 u2^-1 u3^-1,
@@ -21,8 +22,6 @@ from .whitehead import (NEGATIVE, POSITIVE, GraphView, build_whitehead, is_fores
                         reduced_girth)
 
 _NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*\Z")
-# reorient_positive_tree refuses trees with more orientations than this
-MAX_REORIENT_CANDIDATES = 1 << 22
 
 
 class LotError(ValueError):
@@ -288,70 +287,56 @@ def collapse(lot: LOT, t: SubLot, y: str) -> LOT:
 
 
 def reorient_positive_tree(lot: LOT) -> LOT:
-    """Find a reorientation whose presentation has a positive Whitehead
-    graph that is a forest.
+    """A reorientation whose presentation has a positive Whitehead graph
+    that is a forest; one always exists.
 
     Flipping an edge swaps its endpoints and keeps the label.  Each oriented
     edge contributes the positive-graph edge {label+, source+}, or a loop
-    when label == source, so the search is a backtracking orientation
-    assignment with a union-find cycle/loop prune.  The final candidate is
-    double-checked on the genuine Whitehead graph of its presentation.
+    when label == source, so an orientation works when a union-find over
+    those edges never joins two vertices already joined.  The identity
+    orientation is kept when it works.
+    Otherwise the tree is peeled leaf by leaf: the leaf l on edge (l, p)
+    becomes the source unless the label's class already holds l, and then p
+    does.  Each class keeps exactly one unpeeled vertex, so the chosen edge
+    never closes a cycle.  The result is re-checked on the genuine Whitehead
+    graph of its presentation.
     """
-    if len(lot.edges) == 0:
-        return lot
-    if 1 << len(lot.edges) > MAX_REORIENT_CANDIDATES:
-        raise LotError("reorientation search space exceeds the configured limit",
-                       code="SEARCH_EXHAUSTED")
-    order = list(range(len(lot.edges)))
-    chosen: list[bool] = []  # True = flipped
+    classes = {v: v for v in lot.vertices}
 
-    def positive_edge(e: LotEdge, flipped: bool) -> tuple[str, str] | None:
-        source = e.target if flipped else e.source
-        if e.label == source:
-            return None  # loop in the positive graph
-        return (e.label, source)
-
-    def find(parent_map: dict[str, str], v: str) -> str:
-        # no path compression: unions must be undoable on backtrack
-        while parent_map[v] != v:
-            v = parent_map[v]
+    def find(v: str) -> str:
+        while classes[v] != v:
+            classes[v] = v = classes[classes[v]]
         return v
 
-    def backtrack(k: int, parent_map: dict[str, str]) -> bool:
-        if k == len(order):
-            return True
-        e = lot.edges[order[k]]
-        for flipped in (False, True):
-            pe = positive_edge(e, flipped)
-            if pe is None:
-                continue
-            u, v = pe
-            ru, rv = find(parent_map, u), find(parent_map, v)
-            if ru == rv:
-                continue  # would close a cycle
-            parent_map[ru] = rv
-            chosen.append(flipped)
-            if backtrack(k + 1, parent_map):
-                return True
-            chosen.pop()
-            parent_map[ru] = ru
-        return False
+    def join(label: str, source: str) -> bool:
+        a, b = find(label), find(source)
+        classes[a] = b
+        return a != b
 
-    parents = {v: v for v in lot.vertices}
-    if not backtrack(0, parents):
-        raise LotError("no reorientation with a forest positive graph was found",
-                       code="SEARCH_EXHAUSTED")
-    edges = []
-    for i, e in enumerate(lot.edges):
-        if chosen[i]:
-            edges.append(LotEdge(e.target, e.source, e.label))
-        else:
-            edges.append(e)
-    candidate = LOT(lot.vertices, tuple(edges))
+    sources = [e.source for e in lot.edges]
+    if not all(join(e.label, e.source) for e in lot.edges):
+        classes = {v: v for v in lot.vertices}
+        incident: dict[str, set[int]] = {v: set() for v in lot.vertices}
+        for i, e in enumerate(lot.edges):
+            incident[e.source].add(i)
+            incident[e.target].add(i)
+        leaves = [v for v, ids in incident.items() if len(ids) == 1]
+        for _ in lot.edges:
+            leaf = leaves.pop()
+            i = incident[leaf].pop()
+            e = lot.edges[i]
+            other = e.target if e.source == leaf else e.source
+            incident[other].remove(i)
+            if len(incident[other]) == 1:
+                leaves.append(other)
+            sources[i] = other if find(e.label) == find(leaf) else leaf
+            join(e.label, sources[i])
+    candidate = LOT(lot.vertices, tuple(
+        e if s == e.source else LotEdge(e.target, e.source, e.label)
+        for e, s in zip(lot.edges, sources)))
     graph = build_whitehead(lot_presentation(candidate))
     if not is_forest(GraphView(graph, POSITIVE)).forest:
-        raise LotError("reorientation search accepted a non-forest candidate",
-                       code="SEARCH_EXHAUSTED")
+        raise AssertionError("leaf peeling produced a positive graph with a cycle")
     return candidate
 
 

@@ -92,9 +92,13 @@ class WeightAssignment:
                 raise WeightError(f"line {lineno}: expected 'w <edge> <p>/<q>'", code="SYNTAX")
             try:
                 eid = int(parts[1])
-                weights[eid] = Fraction(parts[2])
+                weight = Fraction(parts[2])
             except (ValueError, ZeroDivisionError) as exc:
                 raise WeightError(f"line {lineno}: {exc}", code="SYNTAX") from exc
+            if eid in weights:
+                raise WeightError(f"line {lineno}: edge {eid} already has a weight",
+                                  code="SYNTAX")
+            weights[eid] = weight
         return WeightAssignment(weights)
 
 

@@ -74,3 +74,18 @@ def random_lot(rng: random.Random, max_vertices=8) -> LOT:
         src, dst = (names[i], other) if rng.random() < 0.5 else (other, names[i])
         edges.append(LotEdge(src, dst, rng.choice(names)))
     return LOT(tuple(names), tuple(edges))
+
+
+def random_compressed_lot(rng: random.Random, n_edges: int) -> LOT:
+    """A random tree with `n_edges` >= 2 edges, each labeled by a vertex
+    other than its endpoints."""
+    names = [f"v{i}" for i in range(n_edges + 1)]
+    edges = []
+    for i in range(1, len(names)):
+        other = names[rng.randrange(i)]
+        src, dst = (names[i], other) if rng.random() < 0.5 else (other, names[i])
+        label = src
+        while label in (src, dst):
+            label = rng.choice(names)
+        edges.append(LotEdge(src, dst, label))
+    return LOT(tuple(names), tuple(edges))

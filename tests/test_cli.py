@@ -296,6 +296,26 @@ class TestCommandLine:
         assert main(["check", pres, "--tests", "free", "--diagram", str(bad)]) == 3
         assert "malformed diagram JSON" in capsys.readouterr().err
 
+    def test_negative_vertex_count_exits_three(self, tmp_path, capsys):
+        bad = tmp_path / "neg.json"
+        bad.write_text('{"vertexCount": -1, "edges": [], "faces": []}')
+        pres = str(FIXTURES / "fx2.pres")
+        assert main(["diagram", str(bad), "--pres", pres]) == 3
+        assert main(["check", pres, "--tests", "free", "--diagram", str(bad)]) == 3
+        assert "negative vertex count" in capsys.readouterr().err
+
+    def test_reorient_has_no_size_cap(self, tmp_path, capsys):
+        path = tmp_path / "path23.lot"
+        path.write_text("".join(f"edge p{i} p{i + 1} p{(i + 2) % 24}\n" for i in range(23)))
+        assert main(["lot", str(path), "--reorient"]) == 2
+        assert "flipped edges" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("name,flips", [("fig3", []), ("fxl1", []),
+                                            ("fxl2", [3, 4, 5, 7]), ("fxl3", [1, 2])])
+    def test_reorient_prints_flipped_edges(self, name, flips, capsys):
+        main(["lot", str(FIXTURES / f"{name}.lot"), "--reorient"])
+        assert f"flipped edges: {flips}\n" in capsys.readouterr().out
+
     def test_all_directions_on_one_generator_is_unknown(self, tmp_path, capsys):
         # the fallback has no proper singleton subset to try
         pres = tmp_path / "a2.pres"

@@ -1,8 +1,10 @@
+import json
 import random
 
 import pytest
 
-from conftest import random_lot
+from conftest import random_compressed_lot, random_lot
+from ddr.cli import main
 from ddr.core import parse_word, word_stats
 from ddr.lot import (LOT, LotEdge, LotError, certify_lot, collapse, lot_presentation,
                      lot_properties, make_sublot, parse_lot, reorient_positive_tree,
@@ -252,6 +254,20 @@ class TestCollapseInsert:
             done += 1
 
 
+def assert_forest_reorientation(lot, out):
+    """`out` is `lot` with some edges flipped, and its positive-graph edges
+    {label, source} form a forest without loops, by networkx."""
+    nx = pytest.importorskip("networkx")
+    assert out.vertices == lot.vertices
+    assert [(e.label, {e.source, e.target}) for e in out.edges] == \
+        [(e.label, {e.source, e.target}) for e in lot.edges]
+    graph = nx.MultiGraph()
+    graph.add_nodes_from(lot.vertices)
+    graph.add_edges_from((e.label, e.source) for e in out.edges)
+    assert nx.number_of_selfloops(graph) == 0
+    assert nx.is_forest(graph)
+
+
 class TestReorient:
     def test_fxl2_bar_needs_no_flip(self, fxl2_doc):
         lot, t = fxl2_doc.lot, fxl2_doc.sublots["T"]
@@ -280,6 +296,17 @@ class TestReorient:
             assert [e.label for e in out.edges] == [e.label for e in lot.edges]
             g = build_whitehead(lot_presentation(out))
             assert is_forest(GraphView(g, POSITIVE)).forest
+
+    def test_agrees_with_networkx_up_to_sixty_vertices(self):
+        rng = random.Random(2042)
+        for k in range(400):
+            lot = random_lot(rng, max_vertices=60) if k % 2 else \
+                random_compressed_lot(rng, rng.randint(2, 59))
+            assert_forest_reorientation(lot, reorient_positive_tree(lot))
+
+    def test_five_thousand_edges(self):
+        lot = random_compressed_lot(random.Random(5), 5000)
+        assert_forest_reorientation(lot, reorient_positive_tree(lot))
 
 
 class TestCertify:
@@ -315,3 +342,44 @@ class TestCertify:
         cert = certify_lot(lot, whole)
         assert cert.verdict == "UNKNOWN"
         assert "proper" in cert.evidence["failed_hypothesis"]
+
+
+class TestRelabelling:
+    """`ddr lot --reorient` under renamed vertices and reordered edges."""
+
+    @staticmethod
+    def run_lot(lot, tmp_path, capsys):
+        """The exit code, per maximal sub-LOT its verdict, test and
+        asphericity, and the printed reorientation."""
+        lot_file, json_file = tmp_path / "t.lot", tmp_path / "t.json"
+        lot_file.write_text(serialize_lot(lot))
+        code = main(["lot", str(lot_file), "--reorient", "--json", str(json_file)])
+        printed = capsys.readouterr().out.splitlines()[2:3 + len(lot.edges)]
+        verdicts = {frozenset(c["subset"]): (c["verdict"], c["evidence"].get("test"),
+                                             any(q["kind"] == "aspherical"
+                                                 for q in c["consequences"]))
+                    for c in json.loads(json_file.read_text())["certificates"]}
+        return code, verdicts, parse_lot("\n".join(printed))
+
+    def test_verdicts_survive_relabelling(self, tmp_path, capsys):
+        rng = random.Random(11)
+        certified = 0
+        for _ in range(150):
+            lot = random_compressed_lot(rng, rng.randint(4, 9))
+            names = [f"w{i}" for i in range(len(lot.vertices))]
+            rng.shuffle(names)
+            rename = dict(zip(lot.vertices, names))
+            edges = [LotEdge(rename[e.source], rename[e.target], rename[e.label])
+                     for e in lot.edges]
+            rng.shuffle(edges)
+            variant = LOT(tuple(rng.sample(names, len(names))), tuple(edges))
+            code, verdicts, reoriented = self.run_lot(lot, tmp_path, capsys)
+            variant_code, variant_verdicts, variant_reoriented = \
+                self.run_lot(variant, tmp_path, capsys)
+            assert variant_code == code
+            assert variant_verdicts == {frozenset(rename[v] for v in s): outcome
+                                        for s, outcome in verdicts.items()}
+            assert_forest_reorientation(lot, reoriented)
+            assert_forest_reorientation(variant, variant_reoriented)
+            certified += code == 0
+        assert certified  # some LOT has a certified maximal sub-LOT

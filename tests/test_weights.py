@@ -166,6 +166,9 @@ class TestSerialization:
             WeightAssignment.parse("nope")
         with pytest.raises(WeightError):
             WeightAssignment.parse("w x 1/2")
+        with pytest.raises(WeightError, match="line 2") as exc:
+            WeightAssignment.parse("w 0 1/2\nw 0 3")
+        assert exc.value.code == "SYNTAX"
 
 
 class TestSimplex:
