@@ -4,18 +4,19 @@
 `ddr lot` certifies sub-LOTs of a labeled oriented tree, and `ddr diagram`
 validates a diagram and tests it against a directedness claim.  Exit codes:
 0 certified or decided reducible, 1 refuted or decided not reducible,
-2 unknown, 3 input error.
+2 unknown, 3 input or usage error.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
 from . import __version__
 from .certificates import UNKNOWN, Report
-from .core import parse_presentation, presentation_digest
+from .core import check_preconditions, parse_presentation, presentation_digest
 from .diagram import REFUTES, _folding_scan, directed_verdict, loads_diagram, validate_diagram
 from .lot import (certify_lot, lot_presentation, lot_properties, parse_lot_document,
                   reorient_positive_tree, serialize_lot, sub_lots)
@@ -116,7 +117,7 @@ def _cmd_lot(args) -> int:
 def _cmd_diagram(args) -> int:
     p = parse_presentation(Path(args.pres).read_text(encoding="utf-8"))
     d = loads_diagram(Path(args.file).read_text(encoding="utf-8"))
-    subset = _parse_subset(args.away_from)
+    subset = check_preconditions(p, _parse_subset(args.away_from), cyclically_reduced=False)
     validation = validate_diagram(d, p)
     if not validation.valid:
         for err in validation.errors:
@@ -142,8 +143,16 @@ def _cmd_diagram(args) -> int:
     return 2
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        # a usage error is an input error: `main` returns 3, nothing exits
+        self.print_usage(sys.stderr)
+        raise ValueError(f"{self.prog}: {message}")
+
+
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    parser = _Parser(
         prog="ddr",
         description="certify, refute, or decide directed diagrammatic reducibility")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -174,11 +183,14 @@ def main(argv=None) -> int:
     diag.add_argument("--away-from", default="")
     diag.add_argument("--json", default="")
     diag.set_defaults(func=_cmd_diagram)
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv=None) -> int:
     try:
+        args = _parser().parse_args(argv)
         return args.func(args)
-    except (ValueError, OSError) as exc:  # every ddr error type is a ValueError
+    except (ValueError, OSError) as exc:  # usage errors and every ddr error type
         print(f"error: {exc}", file=sys.stderr)
         return 3
 

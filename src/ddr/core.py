@@ -226,6 +226,37 @@ def free_edge_generators(p: Presentation) -> frozenset[str]:
     return frozenset(g for g, c in counts.items() if c == 1)
 
 
+class UnionFind:
+    """Disjoint classes of hashable items, every item alone until joined.
+
+    An item absent from the parent table is a root, so nothing is stored
+    per item up front; `find` halves paths (Tarjan 1975)."""
+
+    __slots__ = ("parent",)
+
+    def __init__(self):
+        self.parent: dict = {}
+
+    def find(self, x):
+        parent = self.parent
+        while x in parent:
+            up = parent[x]
+            if up not in parent:
+                return up
+            parent[x] = x = parent[up]  # point x at its grandparent, then step there
+        return x
+
+    def union(self, a, b) -> bool:
+        """Join the classes of a and b; False when they were one already."""
+        parent = self.parent
+        a = self.find(a) if a in parent else a
+        b = self.find(b) if b in parent else b
+        if a == b:
+            return False
+        parent[a] = b
+        return True
+
+
 def _token_powers(tokens: Sequence[tuple[str, int, int]]) -> list[tuple[Letter, int, int]]:
     # tokens: (text, line, column) -> (letter, repeat count, column);
     # exponent shorthand g^k stands for |k| copies of g or g^-1

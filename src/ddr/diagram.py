@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Mapping, Optional, Sequence
 
-from .core import Letter, Presentation, Word, free_edge_generators, inverse_word
+from .core import Letter, Presentation, UnionFind, Word, free_edge_generators, inverse_word
 
 
 class DiagramError(ValueError):
@@ -198,24 +198,15 @@ def _link_cycles(d: SurfaceDiagram) -> Mapping[int, int]:
     a walk joins the end of one at their vertex to the start of the next.
     An edge end is (edge id, 0 at the tail or 1 at the head); with two sides
     per edge it lies on two corners, so each link is a union of cycles."""
-    parent: dict[tuple[int, int], tuple[int, int]] = {}
-
-    def find(end):
-        while parent.get(end, end) != end:
-            parent[end] = parent.get(parent[end], parent[end])
-            end = parent[end]
-        return end
-
+    ends = UnionFind()
     for walk in [face.boundary for face in d.faces] + list(d.boundary_cycles):
         for step, nxt in zip(walk, walk[1:] + walk[:1]):
-            a = find((step.edge, 1 if step.direction > 0 else 0))
-            b = find((nxt.edge, 0 if nxt.direction > 0 else 1))
-            if a != b:
-                parent[a] = b
+            ends.union((step.edge, 1 if step.direction > 0 else 0),
+                       (nxt.edge, 0 if nxt.direction > 0 else 1))
     roots: dict[int, set] = {}
     for e in d.edges:
         for end, v in ((0, e.tail), (1, e.head)):
-            roots.setdefault(v, set()).add(find((e.id, end)))
+            roots.setdefault(v, set()).add(ends.find((e.id, end)))
     return {v: len(r) for v, r in roots.items()}
 
 
@@ -241,46 +232,20 @@ def _side_pairs(d: SurfaceDiagram) -> list[tuple[int, tuple[int, int], tuple[int
 
 
 def _orientable(d: SurfaceDiagram) -> bool:
-    # spin labels on faces: across an interior edge, spin(f2) = rel * spin(f1)
-    constraints: dict[int, list[tuple[int, int]]] = {i: [] for i in range(len(d.faces))}
+    # spin labels on faces: across an interior edge, spin(f2) = rel * spin(f1);
+    # (f, s) stands for "f has spin s", and no face may have both spins
+    spins = UnionFind()
     for _, (f1, _), (f2, _), rel in _side_pairs(d):
-        constraints[f1].append((f2, rel))
-        constraints[f2].append((f1, rel))
-    spin: dict[int, int] = {}
-    for root in range(len(d.faces)):
-        if root in spin:
-            continue
-        spin[root] = 1
-        stack = [root]
-        while stack:
-            cur = stack.pop()
-            for nxt, rel in constraints[cur]:
-                want = spin[cur] * rel
-                if nxt not in spin:
-                    spin[nxt] = want
-                    stack.append(nxt)
-                elif spin[nxt] != want:
-                    return False
-    return True
+        spins.union((f1, 1), (f2, rel))
+        spins.union((f1, -1), (f2, -rel))
+    return all(spins.find((f, 1)) != spins.find((f, -1)) for f in range(len(d.faces)))
 
 
 def _connected(d: SurfaceDiagram) -> bool:
-    if d.vertex_count == 0:
-        return len(d.edges) == 0 and len(d.faces) == 0
-    if d.vertex_count > len(d.edges) + 1:
-        return False  # a connected graph on V vertices has at least V - 1 edges
-    adj: dict[int, list[int]] = {v: [] for v in range(d.vertex_count)}
-    for e in d.edges:
-        adj[e.tail].append(e.head)
-        adj[e.head].append(e.tail)
-    seen = {0}
-    stack = [0]
-    while stack:
-        for nxt in adj[stack.pop()]:
-            if nxt not in seen:
-                seen.add(nxt)
-                stack.append(nxt)
-    return len(seen) == d.vertex_count
+    # V vertices form one class after exactly V - 1 successful joins
+    classes = UnionFind()
+    joins = sum(classes.union(e.tail, e.head) for e in d.edges)
+    return joins == max(d.vertex_count - 1, 0)
 
 
 @dataclass(frozen=True)
@@ -425,20 +390,7 @@ def _glue_polygons(polys: Sequence[tuple[int, int, Word]],
         raise DiagramError("matching does not cover every side exactly once",
                            code="BAD_MATCHING")
 
-    parent: dict[tuple[int, int], tuple[int, int]] = {}
-
-    def find(c):
-        root = c
-        while parent.get(root, root) != root:
-            root = parent[root]
-        while parent.get(c, c) != c:
-            parent[c], c = root, parent[c]
-        return root
-
-    def union(c1, c2):
-        r1, r2 = find(c1), find(c2)
-        if r1 != r2:
-            parent[max(r1, r2)] = min(r1, r2)
+    corners = UnionFind()
 
     def corner(k, c):
         return (k, c % len(polys[k][2]))
@@ -447,11 +399,11 @@ def _glue_polygons(polys: Sequence[tuple[int, int, Word]],
         l1 = polys[i][2][s1]
         l2 = polys[j][2][s2]
         if l2 == l1.inverse():
-            union(corner(i, s1), corner(j, s2 + 1))
-            union(corner(i, s1 + 1), corner(j, s2))
+            corners.union(corner(i, s1), corner(j, s2 + 1))
+            corners.union(corner(i, s1 + 1), corner(j, s2))
         elif l2 == l1:
-            union(corner(i, s1), corner(j, s2))
-            union(corner(i, s1 + 1), corner(j, s2 + 1))
+            corners.union(corner(i, s1), corner(j, s2))
+            corners.union(corner(i, s1 + 1), corner(j, s2 + 1))
         else:
             raise DiagramError(f"matched sides read different generators: {l1} vs {l2}",
                                code="BAD_MATCHING")
@@ -459,7 +411,7 @@ def _glue_polygons(polys: Sequence[tuple[int, int, Word]],
     vertex_ids: dict[tuple[int, int], int] = {}
 
     def vertex(c) -> int:
-        root = find(c)
+        root = corners.find(c)
         if root not in vertex_ids:
             vertex_ids[root] = len(vertex_ids)
         return vertex_ids[root]
@@ -550,25 +502,17 @@ def matched_surface(p: Presentation, x: str) -> SurfaceDiagram:
 
 
 def _component_with_label(d: SurfaceDiagram, x: str) -> SurfaceDiagram:
-    # walk the face components (faces linked by shared edges) in order of
-    # lowest face index; restrict to the first that carries an x-labeled edge
-    sides = _face_sides(d)
-    seen: set[int] = set()
-    for root in range(len(d.faces)):
-        if root in seen:
-            continue
-        seen.add(root)
-        comp, stack, has_x = [root], [root], False
-        while stack:
-            for step in d.faces[stack.pop()].boundary:
-                has_x = has_x or d.edge_by_id[step.edge].label == x
-                for f, _ in sides[step.edge]:
-                    if f not in seen:
-                        seen.add(f)
-                        comp.append(f)
-                        stack.append(f)
-        if has_x:
-            return _restrict_to_faces(d, comp)
+    # join faces that share an edge; restrict to the class of the first face,
+    # by index, whose class carries an x-labeled edge
+    faces = UnionFind()
+    for sides in _face_sides(d).values():
+        for f, _ in sides:
+            faces.union(sides[0][0], f)
+    carriers = {faces.find(f) for f, face in enumerate(d.faces)
+                if any(d.edge_by_id[s.edge].label == x for s in face.boundary)}
+    for root in map(faces.find, range(len(d.faces))):
+        if root in carriers:
+            return _restrict_to_faces(d, [f for f in range(len(d.faces)) if faces.find(f) == root])
     raise DiagramError(f"no component contains {x!r}", code="ABSENT_GENERATOR")
 
 

@@ -15,7 +15,7 @@ from functools import cached_property
 from typing import Mapping
 
 from .certificates import CERTIFIED_DR_AWAY_FROM, UNKNOWN, Certificate
-from .core import Letter, Presentation, presentation_digest
+from .core import Letter, Presentation, UnionFind, presentation_digest
 # search_weights is unused here; bench/test_harness.py checks its tracer rebinds it
 from .weights import search_weights
 from .whitehead import (NEGATIVE, POSITIVE, GraphView, build_whitehead, is_forest,
@@ -110,19 +110,13 @@ def _validate_sublot(lot: LOT, vs: frozenset[str], edge_idx: frozenset[int]) -> 
 
 def _reach(edges: tuple[LotEdge, ...], start: str, cut: int | None) -> frozenset[str]:
     """The vertices joined to `start` by the edges, edges[cut] left out."""
-    adj: dict[str, list[str]] = {}
+    classes = UnionFind()
     for i, e in enumerate(edges):
         if i != cut:
-            adj.setdefault(e.source, []).append(e.target)
-            adj.setdefault(e.target, []).append(e.source)
-    seen = {start}
-    stack = [start]
-    while stack:
-        for nxt in adj.get(stack.pop(), ()):
-            if nxt not in seen:
-                seen.add(nxt)
-                stack.append(nxt)
-    return frozenset(seen)
+            classes.union(e.source, e.target)
+    find = classes.find
+    root = find(start)  # its class: the root and the joined items under it
+    return frozenset([root, *(v for v in classes.parent if find(v) == root)])
 
 
 def _endpoints(lot: LOT, edge_idx) -> frozenset[str]:
@@ -301,21 +295,10 @@ def reorient_positive_tree(lot: LOT) -> LOT:
     never closes a cycle.  The result is re-checked on the genuine Whitehead
     graph of its presentation.
     """
-    classes = {v: v for v in lot.vertices}
-
-    def find(v: str) -> str:
-        while classes[v] != v:
-            classes[v] = v = classes[classes[v]]
-        return v
-
-    def join(label: str, source: str) -> bool:
-        a, b = find(label), find(source)
-        classes[a] = b
-        return a != b
-
+    classes = UnionFind()
     sources = [e.source for e in lot.edges]
-    if not all(join(e.label, e.source) for e in lot.edges):
-        classes = {v: v for v in lot.vertices}
+    if not all(classes.union(e.label, e.source) for e in lot.edges):
+        classes = UnionFind()
         incident: dict[str, set[int]] = {v: set() for v in lot.vertices}
         for i, e in enumerate(lot.edges):
             incident[e.source].add(i)
@@ -329,8 +312,8 @@ def reorient_positive_tree(lot: LOT) -> LOT:
             incident[other].remove(i)
             if len(incident[other]) == 1:
                 leaves.append(other)
-            sources[i] = other if find(e.label) == find(leaf) else leaf
-            join(e.label, sources[i])
+            sources[i] = other if classes.find(e.label) == classes.find(leaf) else leaf
+            classes.union(e.label, sources[i])
     candidate = LOT(lot.vertices, tuple(
         e if s == e.source else LotEdge(e.target, e.source, e.label)
         for e, s in zip(lot.edges, sources)))

@@ -280,6 +280,8 @@ def run_check(p: Presentation, subset=frozenset(), config: CheckConfig | None = 
                 "all_directions": config.all_directions, "run_all": config.run_all},
     )
     if config.all_directions:
+        if subset:
+            raise ValueError("--all-directions and --away-from exclude each other")
         return _run_all_directions(p, config, digest, report)
     s = check_preconditions(p, subset, cyclically_reduced=False)
     carried: dict = {}

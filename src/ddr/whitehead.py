@@ -28,7 +28,7 @@ from functools import cached_property
 from math import inf, lcm
 from typing import Iterator, Mapping, Optional
 
-from .core import Letter, Presentation, PresentationError
+from .core import Letter, Presentation, PresentationError, UnionFind
 
 FULL = "full"
 POSITIVE = "positive"
@@ -174,20 +174,12 @@ def is_forest(view: GraphView) -> ForestReport:
     first whose ends are already joined closes a cycle, and the witness is
     the tree path between its ends, then that edge."""
     graph = view.parent
-    root: dict[WVertex, WVertex] = {}  # a vertex absent from it is a root
-
-    def find(v: WVertex) -> WVertex:
-        while v in root:  # path halving
-            root[v] = v = root.get(root[v], root[v])
-        return v
-
+    classes = UnionFind()
     tree: list[int] = []
     for eid in view.edge_ids():
         e = graph.edges[eid]
-        ra, rb = find(e.a), find(e.b)
-        if ra == rb:
+        if not classes.union(e.a, e.b):
             return ForestReport(False, tuple(_tree_path(graph, tree, e.a, e.b) + [eid]))
-        root[ra] = rb
         tree.append(eid)
     return ForestReport(True, None)
 

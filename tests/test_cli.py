@@ -346,3 +346,26 @@ class TestReportModel:
     def test_exit_code_logic(self):
         report = Report("x", {}, {})
         assert report.exit_code() == 2
+
+
+class TestSubsetFlags:
+    @pytest.mark.parametrize("subset, code", [("a,b,zz", "UNDECLARED_GENERATOR"),
+                                              ("a,b,c", "S_NOT_PROPER")])
+    def test_diagram_validates_its_subset(self, fx2, subset, code, tmp_path, capsys):
+        out = tmp_path / "report.json"
+        assert main(["diagram", str(FIXTURES / "fx2_disc.json"), "--pres",
+                     str(FIXTURES / "fx2.pres"), "--away-from", subset, "--json", str(out)]) == 3
+        assert not out.exists()
+        with pytest.raises(core.PresentationError) as caught:
+            run_check(fx2, frozenset(subset.split(",")))
+        assert caught.value.code == code  # the same refusal as `ddr check`
+        capsys.readouterr()
+
+    def test_all_directions_refuses_a_subset(self, genus2, capsys):
+        assert main(["check", str(FIXTURES / "genus2.pres"), "--all-directions",
+                     "--away-from", "zz"]) == 3
+        err = capsys.readouterr().err
+        assert "--all-directions" in err and "--away-from" in err
+        with pytest.raises(ValueError):
+            run_check(genus2, {"x1"}, CheckConfig(all_directions=True))
+        assert run_check(genus2, frozenset(), CheckConfig(all_directions=True)).certificates
