@@ -19,7 +19,7 @@ from .certificates import UNKNOWN, Report
 from .core import check_preconditions, parse_presentation, presentation_digest
 from .diagram import REFUTES, _folding_scan, directed_verdict, loads_diagram, validate_diagram
 from .lot import (certify_lot, lot_presentation, lot_properties, parse_lot_document,
-                  reorient_positive_tree, serialize_lot, sub_lots)
+                  reorient_positive_tree, serialize_lot)
 from .pipeline import (TEST_ORDER, CheckConfig, check_diagram, derive_consequences,
                        diagram_refutation, run_check)
 # search_weights is unused here; bench/test_harness.py checks its tracer rebinds it
@@ -91,13 +91,12 @@ def _cmd_lot(args) -> int:
         if args.sublot not in doc.sublots:
             print(f"error: no sublot named {args.sublot!r} in the file", file=sys.stderr)
             return 3
-        targets = {args.sublot: doc.sublots[args.sublot]}
+        targets = [(args.sublot, doc.sublots[args.sublot])]
     else:
-        targets = {f"maximal-{i}": info.sublot
-                   for i, info in enumerate(sub_lots(lot)) if info.maximal_proper}
+        targets = [(f"maximal-{i}", t) for i, t in enumerate(lot.maximal_sublots)]
         if not targets:
             print("no proper sub-LOT exists")
-    for name, t in sorted(targets.items()):
+    for name, t in targets:
         cert = certify_lot(lot, t)
         if cert.positive:
             cert.consequences = derive_consequences(cert, lot_presentation(lot),

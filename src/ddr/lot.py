@@ -1,15 +1,21 @@
-"""Labeled oriented trees: parsing, presentations, sub-LOT lattice,
-collapse, reorientation by leaf peeling, and the collapse-transfer
+"""Labeled oriented trees: parsing, presentations, maximal proper
+sub-LOTs, collapse, reorientation by leaf peeling, and the collapse-transfer
 certificate.
 
 A LOT is a tree with oriented edges labeled by vertices.  Each edge
 (source u1, target u2, label u3) contributes the relator u1 u3 u2^-1 u3^-1,
 so every relator has length four and exponent sum zero.
+
+A sub-LOT is a connected, label-closed subtree.  The maximal proper ones
+(`LOT.maximal_sublots`) come from one fixpoint per leaf edge, never from the
+sub-LOT lattice; `sub_lots` and `label_closure` list the lattice and serve
+as test oracles only.
 """
 
 from __future__ import annotations
 
 import re
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Mapping
@@ -70,6 +76,29 @@ class LOT:
         """Per edge, the vertices left on its source's side when it is cut."""
         return tuple(_reach(self.edges, e.source, i) for i, e in enumerate(self.edges))
 
+    @cached_property
+    def maximal_sublots(self) -> tuple[SubLot, ...]:
+        """The maximal proper sub-LOTs, sorted by size then edges.
+
+        A proper sub-LOT misses some leaf edge l, since a subtree holding
+        every leaf edge is the whole tree.  So it lies in one of the
+        components that `_largest_sublots` finds in "every edge but l", and
+        each such component is a proper sub-LOT.  A maximal proper sub-LOT
+        therefore is a component, and a component is maximal exactly when
+        it lies strictly inside no other component.  The list is kept with
+        the LOT, so a command's targets and every `certify_lot` call share
+        one computation.
+        """
+        degree = Counter(v for e in self.edges for v in (e.source, e.target))
+        found = set()
+        for leaf, e in enumerate(self.edges):
+            if degree[e.source] == 1 or degree[e.target] == 1:
+                found.update(_largest_sublots(
+                    self, [i for i in range(len(self.edges)) if i != leaf]))
+        maximal = sorted((t for t in found if not any(t < other for other in found)),
+                         key=lambda t: (len(t), sorted(t)))
+        return tuple(SubLot(self, _endpoints(self, t), t) for t in maximal)
+
     @property
     def vertex_set(self) -> frozenset[str]:
         return frozenset(self.vertices)
@@ -97,15 +126,20 @@ def make_sublot(lot: LOT, vertices) -> SubLot:
 
 
 def _validate_sublot(lot: LOT, vs: frozenset[str], edge_idx: frozenset[int]) -> None:
+    """A sub-LOT's edges are nonempty, span exactly `vs`, carry labels in `vs`
+    and are connected: k edges of a tree are connected exactly when they
+    span k + 1 vertices."""
     if not edge_idx:
         raise LotError("a sub-LOT needs at least one edge", code="BAD_SUBLOT")
     if _endpoints(lot, edge_idx) != vs:
         raise LotError("sub-LOT vertex set does not match its edges (disconnected vertex?)",
                        code="BAD_SUBLOT")
-    if label_closure(lot, edge_idx) != edge_idx:
-        outside = sorted({lot.edges[i].label for i in edge_idx} - vs)
-        raise LotError(f"sub-LOT is not label-closed: label {outside[0]!r} outside" if outside
-                       else "sub-LOT is not connected", code="BAD_SUBLOT")
+    outside = sorted({lot.edges[i].label for i in edge_idx} - vs)
+    if outside:
+        raise LotError(f"sub-LOT is not label-closed: label {outside[0]!r} outside",
+                       code="BAD_SUBLOT")
+    if len(vs) != len(edge_idx) + 1:
+        raise LotError("sub-LOT is not connected", code="BAD_SUBLOT")
 
 
 def _reach(edges: tuple[LotEdge, ...], start: str, cut: int | None) -> frozenset[str]:
@@ -119,6 +153,31 @@ def _reach(edges: tuple[LotEdge, ...], start: str, cut: int | None) -> frozenset
     return frozenset([root, *(v for v in classes.parent if find(v) == root)])
 
 
+def _largest_sublots(lot: LOT, edge_idx: list[int]) -> list[frozenset[int]]:
+    """The largest sub-LOTs made of the given edges.
+
+    Join the edges' endpoints in a union-find, drop every edge whose label
+    is not in its own component, and repeat until nothing is dropped.  A
+    sub-LOT inside the edges is connected and carries its labels, so none
+    of its edges is ever dropped; each remaining component is connected and
+    label-closed.  So the components are exactly the largest sub-LOTs.
+    """
+    edges = lot.edges
+    while True:
+        classes = UnionFind()
+        for i in edge_idx:
+            classes.union(edges[i].source, edges[i].target)
+        find = classes.find
+        kept = [i for i in edge_idx if find(edges[i].label) == find(edges[i].source)]
+        if len(kept) == len(edge_idx):
+            break
+        edge_idx = kept
+    components = defaultdict(set)
+    for i in edge_idx:
+        components[find(edges[i].source)].add(i)
+    return [frozenset(c) for c in components.values()]
+
+
 def _endpoints(lot: LOT, edge_idx) -> frozenset[str]:
     return frozenset(v for i in edge_idx for v in (lot.edges[i].source, lot.edges[i].target))
 
@@ -127,7 +186,8 @@ def label_closure(lot: LOT, edges) -> frozenset[int]:
     """The smallest sub-LOT containing `edges` (empty for no edges): take
     their endpoints and labels, add every edge whose cut separates two of
     those vertices, and repeat until nothing changes.  A sub-LOT is exactly
-    a nonempty edge set equal to its own closure."""
+    a nonempty edge set equal to its own closure.  A test oracle: nothing
+    in `ddr` calls it but `sub_lots`."""
     closed = frozenset(edges)
     while True:
         vs = _endpoints(lot, closed) | {lot.edges[i].label for i in closed}
@@ -150,7 +210,8 @@ def sub_lots(lot: LOT) -> tuple[SubLotInfo, ...]:
     flagged.  Grown from the closure of each single edge by closing each
     one-edge extension; a proper sub-LOT is maximal iff every extension
     closes to the whole tree.  The cost is per sub-LOT found, and a tree can
-    have exponentially many."""
+    have exponentially many, so it is a test oracle for
+    `LOT.maximal_sublots`."""
     n = len(lot.edges)
     whole = frozenset(range(n))
     found = {label_closure(lot, {i}) for i in range(n)}
@@ -356,12 +417,11 @@ def certify_lot(lot: LOT, t: SubLot) -> Certificate:
     _validate_sublot(lot, t.vertex_subset, t.edge_indices)
     if not lot_properties(lot).compressed:
         return failure("the LOT is not compressed")
-    whole = frozenset(range(len(lot.edges)))
-    if t.edge_indices == whole:
+    if len(t.edge_indices) == len(lot.edges):
         return failure("the sub-LOT is not proper")
-    if any(label_closure(lot, t.edge_indices | {i}) != whole for i in whole - t.edge_indices):
-        enclosing = [sorted(i.sublot.vertex_subset) for i in sub_lots(lot)
-                     if i.maximal_proper and t.edge_indices < i.sublot.edge_indices]
+    if all(m.edge_indices != t.edge_indices for m in lot.maximal_sublots):
+        enclosing = [sorted(m.vertex_subset) for m in lot.maximal_sublots
+                     if t.edge_indices < m.edge_indices]
         return failure("the sub-LOT is not maximal among proper sub-LOTs",
                        enclosing_maximal=enclosing)
 

@@ -351,11 +351,3 @@ def _closed_walk_dfs(graph, walk: list[int], target: int) -> Optional[tuple[int,
             return found
         walk.pop()
     return None
-
-
-def dump_graph(graph: WhiteheadGraph) -> str:
-    lines = []
-    for e in graph.edges:
-        lines.append(f"edge {e.id} rel={e.relator_index} pos={e.corner_position} "
-                     f"{e.a} -- {e.b}")
-    return "\n".join(lines) + ("\n" if lines else "")

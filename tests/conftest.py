@@ -79,6 +79,8 @@ def random_lot(rng: random.Random, max_vertices=8) -> LOT:
 def random_compressed_lot(rng: random.Random, n_edges: int) -> LOT:
     """A random tree with `n_edges` >= 2 edges, each labeled by a vertex
     other than its endpoints."""
+    if n_edges < 2:
+        raise ValueError("a compressed LOT needs at least two edges")
     names = [f"v{i}" for i in range(n_edges + 1)]
     edges = []
     for i in range(1, len(names)):

@@ -432,3 +432,12 @@ def insert(lbar: LOT, y: str, t: LOT,
         edges.append(LotEdge(source, target, label))
     edges.extend(t.edges)
     return LOT(tuple(vertices), tuple(edges))
+
+
+def dump_graph(graph: WhiteheadGraph) -> str:
+    """One line per Whitehead edge: id, relator, corner position and ends."""
+    lines = []
+    for e in graph.edges:
+        lines.append(f"edge {e.id} rel={e.relator_index} pos={e.corner_position} "
+                     f"{e.a} -- {e.b}")
+    return "\n".join(lines) + ("\n" if lines else "")

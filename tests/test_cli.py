@@ -137,16 +137,23 @@ class TestWorkDoneOnce:
         assert counts == {"build_whitehead": 1}
         assert capsys.readouterr().out.count("CERTIFIED_DR_AWAY_FROM [forest]") == 2
 
-    def test_lot_enumerates_the_sub_lot_lattice_once(self, monkeypatch, capsys):
+    def test_lot_never_enumerates_the_sub_lot_lattice(self, monkeypatch, capsys):
+        # the maximal sub-LOTs come from leaf-edge fixpoints, for the targets
+        # and for a non-maximal sub-LOT's enclosing_maximal alike
         counts = Counter()
-        _count_calls(monkeypatch, counts, lot, "sub_lots", cli)
+        for name in ("sub_lots", "label_closure"):
+            _count_calls(monkeypatch, counts, lot, name)
         assert main(["lot", str(FIXTURES / "fxl2.lot"), "--reorient"]) == 0
-        assert counts == {"sub_lots": 1}
+        fxl2 = lot.parse_lot((FIXTURES / "fxl2.lot").read_text())  # nothing cached yet
+        cert = lot.certify_lot(fxl2, lot.make_sublot(fxl2, {"x1", "x2", "x3"}))
+        assert cert.evidence["enclosing_maximal"] == [["x1", "x2", "x3", "x4", "x5"]]
+        assert counts == {}
         capsys.readouterr()
 
     def test_lot_sublot_does_not_enumerate_the_lattice(self, monkeypatch, capsys):
         counts = Counter()
-        _count_calls(monkeypatch, counts, lot, "sub_lots", cli)
+        for name in ("sub_lots", "label_closure"):
+            _count_calls(monkeypatch, counts, lot, name)
         assert main(["lot", str(FIXTURES / "fxl2.lot"), "--sublot", "T"]) == 0
         assert counts == {}
         capsys.readouterr()

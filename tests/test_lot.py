@@ -1,9 +1,11 @@
 import json
 import random
+from collections import Counter
 
 import pytest
 
 from conftest import random_compressed_lot, random_lot
+from ddr import lot as lot_module
 from ddr.cli import main
 from ddr.core import parse_word, word_stats
 from ddr.lot import (LOT, LotEdge, LotError, certify_lot, collapse, lot_presentation,
@@ -177,6 +179,59 @@ class TestSubLots:
                    == len(i.sublot.edge_indices) - 1 for i in infos)
         assert [sorted(i.sublot.edge_indices) for i in infos if i.maximal_proper] == \
             [list(range(19)), list(range(1, 20))]
+
+
+def lattice_maximal(lot):
+    """The maximal proper sub-LOTs by definition, from the whole lattice."""
+    proper = [i.sublot for i in sub_lots(lot) if i.proper]
+    return [t for t in proper if not any(t.edge_indices < o.edge_indices for o in proper)]
+
+
+class TestMaximalSubLots:
+    def test_matches_the_lattice_flags_and_order(self):
+        rng = random.Random(29)
+        for k in range(2000):
+            lot = random_lot(rng) if k % 2 else random_compressed_lot(rng, rng.randint(2, 9))
+            assert [t.edge_indices for t in lot.maximal_sublots] == \
+                [i.sublot.edge_indices for i in sub_lots(lot) if i.maximal_proper]
+
+    def test_certify_lot_answers_maximality_by_the_lattice(self):
+        rng = random.Random(31)
+        answers = Counter()
+        for _ in range(150):
+            lot = random_compressed_lot(rng, rng.randint(3, 7))
+            maximal = lattice_maximal(lot)
+            for t in (i.sublot for i in sub_lots(lot) if i.proper):
+                evidence = certify_lot(lot, t).evidence
+                answers[t in maximal] += 1
+                if t in maximal:
+                    assert "enclosing_maximal" not in evidence
+                else:
+                    assert evidence["failed_hypothesis"] == \
+                        "the sub-LOT is not maximal among proper sub-LOTs"
+                    assert evidence["enclosing_maximal"] == \
+                        [sorted(m.vertex_subset) for m in maximal
+                         if t.edge_indices < m.edge_indices]
+        assert answers[True] and answers[False]
+
+    def test_forty_edge_path_needs_no_lattice(self, monkeypatch):
+        # the lattice has 820 sub-LOTs; only the two 39-edge sub-paths are maximal
+        def refuse(*args):
+            raise AssertionError("the lattice was enumerated")
+
+        monkeypatch.setattr(lot_module, "sub_lots", refuse)
+        monkeypatch.setattr(lot_module, "label_closure", refuse)
+        names = tuple(f"v{i}" for i in range(41))
+        lot = LOT(names, tuple(LotEdge(names[i], names[i + 1], names[i]) for i in range(40)))
+        assert [sorted(t.edge_indices) for t in lot.maximal_sublots] == \
+            [list(range(39)), list(range(1, 40))]
+
+    def test_single_edge_has_none(self):
+        assert LOT(("a", "b"), (LotEdge("a", "b", "a"),)).maximal_sublots == ()
+
+    def test_compressed_lot_needs_two_edges(self):
+        with pytest.raises(ValueError):
+            random_compressed_lot(random.Random(0), 1)
 
 
 class TestCollapseInsert:

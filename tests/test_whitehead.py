@@ -6,11 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_presentation
-from oracles import brute_component_count, brute_min_cycle_ends, brute_min_reduced_cycle
+from oracles import (brute_component_count, brute_min_cycle_ends, brute_min_reduced_cycle,
+                     dump_graph)
 from ddr.core import parse_presentation
 from ddr.whitehead import (FULL, POSITIVE, CornerEdge, GraphView,
-                           WhiteheadGraph, WVertex, build_whitehead, dump_graph,
-                           is_forest, min_weight_reduced_cycle, reduced_cycles_below,
+                           WhiteheadGraph, WVertex, build_whitehead, is_forest,
+                           min_weight_reduced_cycle, reduced_cycles_below,
                            reduced_girth, shortest_reduced_cycle_in_range)
 
 
