@@ -51,7 +51,7 @@ from functools import cache, cached_property
 from itertools import permutations
 from typing import Mapping, NamedTuple, Optional, Sequence
 
-from .core import (Presentation, Word, check_preconditions, free_edge_generators,
+from .core import (DdrError, Presentation, Word, check_preconditions, free_edge_generators,
                    inverse_word, word_support)
 
 COLLAPSED = "COLLAPSED"
@@ -60,12 +60,6 @@ STUCK = "STUCK"
 DECIDED_DR = "DECIDED_DR"
 DECIDED_NOT_DR = "DECIDED_NOT_DR"
 UNKNOWN = "UNKNOWN"
-
-
-class CayleyError(ValueError):
-    def __init__(self, message: str, *, code: str = "INVALID"):
-        super().__init__(message)
-        self.code = code
 
 
 @dataclass(frozen=True)
@@ -98,7 +92,7 @@ class GroupTable:
         n = self.element_count
         for g in p.generators:
             if sorted(self.forward[g]) != list(range(n)):
-                raise CayleyError(f"action of {g!r} is not a permutation", code="BAD_TABLE")
+                raise DdrError(f"action of {g!r} is not a permutation", code="BAD_TABLE")
         for idx, runs in enumerate(_relator_runs(p)):
             # compose the relator's action on all elements at once
             image = list(range(n))
@@ -108,8 +102,8 @@ class GroupTable:
                 image = [power[x] for x in image]
             for x in range(n):
                 if image[x] != x:
-                    raise CayleyError(f"relator {idx} does not act trivially from {x}",
-                                      code="BAD_TABLE")
+                    raise DdrError(f"relator {idx} does not act trivially from {x}",
+                                   code="BAD_TABLE")
 
 
 def _permutation_power(perm: Sequence[int], e: int) -> Sequence[int]:
@@ -132,8 +126,8 @@ MAX_COSET_LIMIT = 1_000_000
 
 def check_coset_limit(limit: int) -> None:
     if not 1 <= limit <= MAX_COSET_LIMIT:
-        raise CayleyError(f"coset limit must be between 1 and {MAX_COSET_LIMIT}, got {limit}",
-                          code="BAD_LIMIT")
+        raise DdrError(f"coset limit must be between 1 and {MAX_COSET_LIMIT}, got {limit}",
+                       code="BAD_LIMIT")
 
 
 def coset_enumeration(p: Presentation, limit: int) -> Optional[GroupTable]:
@@ -279,7 +273,7 @@ def coset_enumeration(p: Presentation, limit: int) -> Optional[GroupTable]:
         col = cols[2 * gi]
         images = [col[a] for a in live]
         if min(images) < 0:
-            raise CayleyError("incomplete table after enumeration", code="BAD_TABLE")
+            raise DdrError("incomplete table after enumeration", code="BAD_TABLE")
         forward[g] = tuple(number[find(dst)] for dst in images)
     result = GroupTable(tuple(p.generators), forward)
     result.validate(p)
@@ -406,7 +400,7 @@ def build_cayley_complex(table: GroupTable, p: Presentation) -> CayleyComplex:
                 cur = [images[x] for x in cur]
                 columns.append([ids[x] for x in cur])
         if cur != start:
-            raise CayleyError("relator lift does not close", code="BAD_TABLE")
+            raise DdrError("relator lift does not close", code="BAD_TABLE")
         per_relator.append(list(zip(*columns)) if columns else [()] * n)
     sides = [side for at_element in zip(*per_relator) for side in at_element]
     return CayleyComplex(table, p, CellArrays(tuple(p.generators), len(p.relators),
@@ -796,7 +790,7 @@ def decide_finite(p: Presentation, subset, limit: int) -> FiniteDecision:
     enumeration overflow and a complex over `MAX_COMPLEX_SIDES` are honest
     UNKNOWNs.  No complex is built when no generator outside the subset
     occurs exactly once in the relators (see the module docstring)."""
-    s = check_preconditions(p, subset, CayleyError, cyclically_reduced=False)
+    s = check_preconditions(p, subset, cyclically_reduced=False)
     proof = prove_infinite(p)
     if proof is not None:
         return FiniteDecision(UNKNOWN, None, None, proof.reason, proof)

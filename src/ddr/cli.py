@@ -16,14 +16,22 @@ from pathlib import Path
 
 from . import __version__
 from .certificates import UNKNOWN, Report
-from .core import check_preconditions, parse_presentation, presentation_digest
+from .core import DdrError, check_preconditions, parse_presentation, presentation_digest
 from .diagram import REFUTES, _folding_scan, directed_verdict, loads_diagram, validate_diagram
-from .lot import (certify_lot, lot_presentation, lot_properties, parse_lot_document,
-                  reorient_positive_tree, serialize_lot)
+from .lot import (certify_lot, lot_properties, parse_lot_document, reorient_positive_tree,
+                  serialize_lot)
 from .pipeline import (TEST_ORDER, CheckConfig, check_diagram, derive_consequences,
                        diagram_refutation, run_check)
 # search_weights is unused here; bench/test_harness.py checks its tracer rebinds it
 from .weights import WeightAssignment, search_weights
+
+
+def _read(path: str) -> str:
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise DdrError(f"{path} is not UTF-8 text: {exc.reason} at byte {exc.start}",
+                       code="ENCODING") from None
 
 
 def _parse_subset(text: str | None) -> frozenset[str]:
@@ -52,25 +60,24 @@ def _print_report(report: Report, json_path: str | None) -> int:
 
 
 def _cmd_check(args) -> int:
-    p = parse_presentation(Path(args.file).read_text(encoding="utf-8"))
+    p = parse_presentation(_read(args.file))
     config = CheckConfig(
         tests=tuple(args.tests.split(",")) if args.tests else TEST_ORDER,
         coset_limit=args.coset_limit,
-        weights=WeightAssignment.parse(Path(args.weights).read_text(encoding="utf-8"))
-        if args.weights else None,
+        weights=WeightAssignment.parse(_read(args.weights)) if args.weights else None,
         all_directions=args.all_directions,
         run_all=args.run_all,
     )
+    d = loads_diagram(_read(args.diagram)) if args.diagram else None
     subset = _parse_subset(args.away_from)
     report = run_check(p, subset, config)
-    if args.diagram:
-        d = loads_diagram(Path(args.diagram).read_text(encoding="utf-8"))
+    if d is not None:
         check_diagram(report, d, p, subset)
     return _print_report(report, args.json)
 
 
 def _cmd_lot(args) -> int:
-    doc = parse_lot_document(Path(args.file).read_text(encoding="utf-8"))
+    doc = parse_lot_document(_read(args.file))
     lot = doc.lot
     props = lot_properties(lot)
     print(f"LOT: {len(lot.vertices)} vertices, {len(lot.edges)} edges, "
@@ -83,14 +90,13 @@ def _cmd_lot(args) -> int:
     report = Report(
         tool_version=__version__,
         input_description={"kind": "lot",
-                           "digest": presentation_digest(lot_presentation(lot)),
+                           "digest": lot.digest,
                            "vertices": list(lot.vertices)},
         config={"sublot": args.sublot, "reorient": args.reorient},
     )
     if args.sublot:
         if args.sublot not in doc.sublots:
-            print(f"error: no sublot named {args.sublot!r} in the file", file=sys.stderr)
-            return 3
+            raise DdrError(f"no sublot named {args.sublot!r} in the file", code="BAD_SUBLOT")
         targets = [(args.sublot, doc.sublots[args.sublot])]
     else:
         targets = [(f"maximal-{i}", t) for i, t in enumerate(lot.maximal_sublots)]
@@ -99,7 +105,7 @@ def _cmd_lot(args) -> int:
     for name, t in targets:
         cert = certify_lot(lot, t)
         if cert.positive:
-            cert.consequences = derive_consequences(cert, lot_presentation(lot),
+            cert.consequences = derive_consequences(cert, lot.presentation,
                                                     frozenset(t.vertex_subset), {})
         report.certificates.append(cert)
         subset = "{" + ", ".join(sorted(t.vertex_subset)) + "}"
@@ -114,8 +120,8 @@ def _cmd_lot(args) -> int:
 
 
 def _cmd_diagram(args) -> int:
-    p = parse_presentation(Path(args.pres).read_text(encoding="utf-8"))
-    d = loads_diagram(Path(args.file).read_text(encoding="utf-8"))
+    p = parse_presentation(_read(args.pres))
+    d = loads_diagram(_read(args.file))
     subset = check_preconditions(p, _parse_subset(args.away_from), cyclically_reduced=False)
     validation = validate_diagram(d, p)
     if not validation.valid:
@@ -146,7 +152,7 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         # a usage error is an input error: `main` returns 3, nothing exits
         self.print_usage(sys.stderr)
-        raise ValueError(f"{self.prog}: {message}")
+        raise DdrError(f"{self.prog}: {message}", code="USAGE")
 
 
 @functools.cache
@@ -189,7 +195,7 @@ def main(argv=None) -> int:
     try:
         args = _parser().parse_args(argv)
         return args.func(args)
-    except (ValueError, OSError) as exc:  # usage errors and every ddr error type
+    except (ValueError, OSError) as exc:  # every DdrError, usage included, and I/O faults
         print(f"error: {exc}", file=sys.stderr)
         return 3
 

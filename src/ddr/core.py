@@ -24,8 +24,10 @@ _TOKEN_RE = re.compile(r"([A-Za-z][A-Za-z0-9_]*)(\^(-?\d+))?\Z")
 MAX_RELATOR_LETTERS = 20_000
 
 
-class PresentationError(ValueError):
-    """Malformed presentation text or inconsistent presentation data."""
+class DdrError(ValueError):
+    """A fault ddr reports: malformed input, inconsistent data, an unusable
+    option, or a subset or presentation a test cannot take.  `code` names
+    the fault; a fault found in a text file also names its line and column."""
 
     def __init__(self, message: str, *, code: str = "INVALID",
                  line: int | None = None, column: int | None = None):
@@ -47,8 +49,7 @@ class Letter:
 
     def __post_init__(self):
         if self.sign not in (1, -1):
-            raise PresentationError(f"letter sign must be +1 or -1, got {self.sign}",
-                                    code="BAD_SIGN")
+            raise DdrError(f"letter sign must be +1 or -1, got {self.sign}", code="BAD_SIGN")
 
     def inverse(self) -> "Letter":
         return Letter(self.gen, -self.sign)
@@ -84,7 +85,7 @@ def normalize_word(w: Word, mode: str = FREE) -> Word:
     cancelling adjacent inverse pairs.
     """
     if mode not in (FREE, CYCLIC):
-        raise PresentationError(f"unknown normalization mode {mode!r}", code="BAD_MODE")
+        raise DdrError(f"unknown normalization mode {mode!r}", code="BAD_MODE")
     stack: list[Letter] = []
     for letter in w:
         if stack and stack[-1] == letter.inverse():
@@ -123,14 +124,14 @@ class Presentation:
         seen = set()
         for name in self.generators:
             if not _NAME_RE.match(name):
-                raise PresentationError(f"invalid generator name {name!r}", code="BAD_NAME")
+                raise DdrError(f"invalid generator name {name!r}", code="BAD_NAME")
             if name in seen:
-                raise PresentationError(f"duplicate generator {name!r}", code="DUPLICATE_GENERATOR")
+                raise DdrError(f"duplicate generator {name!r}", code="DUPLICATE_GENERATOR")
             seen.add(name)
         for idx, rel in enumerate(self.relators):
             for letter in rel:
                 if letter.gen not in seen:
-                    raise PresentationError(
+                    raise DdrError(
                         f"relator {idx} uses undeclared generator {letter.gen!r}",
                         code="UNDECLARED_GENERATOR")
 
@@ -184,36 +185,35 @@ def subpresentation(p: Presentation, subset: Iterable[str]) -> Presentation:
     s = frozenset(subset)
     unknown = s - p.generator_set
     if unknown:
-        raise PresentationError(f"subset contains undeclared generators {sorted(unknown)}",
-                                code="UNDECLARED_GENERATOR")
+        raise DdrError(f"subset contains undeclared generators {sorted(unknown)}",
+                       code="UNDECLARED_GENERATOR")
     gens = tuple(g for g in p.generators if g in s)
     rels = tuple(r for r in p.relators if word_support(r) <= s)
     return Presentation(gens, rels)
 
 
-def check_preconditions(p: Presentation, subset=None, error: type = PresentationError, *,
+def check_preconditions(p: Presentation, subset=None, *,
                         cyclically_reduced: bool = True) -> frozenset[str]:
     """Validate a directed-away subset and the relators; return the subset.
 
     The subset must consist of declared generators (UNDECLARED_GENERATOR)
     and be proper (S_NOT_PROPER); `subset=None` skips both checks.  With
     `cyclically_reduced`, every relator must be cyclically reduced
-    (NOT_CYCLICALLY_REDUCED).  Faults are raised as `error`, so each module
-    reports them with its own exception type.
+    (NOT_CYCLICALLY_REDUCED).
     """
     s = frozenset(subset or ())
     if subset is not None:
         unknown = s - p.generator_set
         if unknown:
-            raise error(f"subset contains undeclared generators {sorted(unknown)}",
-                        code="UNDECLARED_GENERATOR")
+            raise DdrError(f"subset contains undeclared generators {sorted(unknown)}",
+                           code="UNDECLARED_GENERATOR")
         if s == p.generator_set:
-            raise error("the directed-away subset must be proper", code="S_NOT_PROPER")
+            raise DdrError("the directed-away subset must be proper", code="S_NOT_PROPER")
     if cyclically_reduced:
         bad = [i for i, r in enumerate(p.relators) if not is_cyclically_reduced(r)]
         if bad:
-            raise error(f"relators {bad} are not cyclically reduced",
-                        code="NOT_CYCLICALLY_REDUCED")
+            raise DdrError(f"relators {bad} are not cyclically reduced",
+                           code="NOT_CYCLICALLY_REDUCED")
     return s
 
 
@@ -264,13 +264,16 @@ def _token_powers(tokens: Sequence[tuple[str, int, int]]) -> list[tuple[Letter, 
     for text, line, col in tokens:
         m = _TOKEN_RE.match(text)
         if not m:
-            raise PresentationError(f"cannot parse token {text!r}", code="SYNTAX",
-                                    line=line, column=col)
+            raise DdrError(f"cannot parse token {text!r}", code="SYNTAX", line=line, column=col)
         name, _, exp = m.groups()
-        k = 1 if exp is None else int(exp)
+        try:
+            k = 1 if exp is None else int(exp)
+        except ValueError:  # past the interpreter's limit on digits converted
+            raise DdrError(f"exponent of {name!r} has {len(exp.lstrip('-'))} digits",
+                           code="SYNTAX", line=line, column=col) from None
         if k == 0:
-            raise PresentationError(f"zero exponent in token {text!r}", code="SYNTAX",
-                                    line=line, column=col)
+            raise DdrError(f"zero exponent in token {text!r}", code="SYNTAX",
+                           line=line, column=col)
         out.append((Letter(name, 1 if k > 0 else -1), abs(k), col))
     return out
 
@@ -310,37 +313,36 @@ def parse_presentation(text: str) -> Presentation:
         head, line_, col = tokens[0]
         if head == "gens:":
             if generators is not None:
-                raise PresentationError("second gens: line", code="SYNTAX", line=lineno, column=col)
+                raise DdrError("second gens: line", code="SYNTAX", line=lineno, column=col)
             names = []
             for name, _, ncol in tokens[1:]:
                 if not _NAME_RE.match(name):
-                    raise PresentationError(f"invalid generator name {name!r}", code="BAD_NAME",
-                                            line=lineno, column=ncol)
+                    raise DdrError(f"invalid generator name {name!r}", code="BAD_NAME",
+                                   line=lineno, column=ncol)
                 names.append(name)
             generators = tuple(names)
         elif head == "rel:":
             if generators is None:
-                raise PresentationError("rel: line before gens: line", code="SYNTAX",
-                                        line=lineno, column=col)
+                raise DdrError("rel: line before gens: line", code="SYNTAX",
+                               line=lineno, column=col)
             if len(tokens) == 1:
-                raise PresentationError("empty relator", code="EMPTY_RELATOR",
-                                        line=lineno, column=col)
+                raise DdrError("empty relator", code="EMPTY_RELATOR", line=lineno, column=col)
             powers = _token_powers(tokens[1:])
             for letter, count, tcol in powers:
                 if letter.gen not in generators:
-                    raise PresentationError(f"undeclared generator {letter.gen!r}",
-                                            code="UNDECLARED_GENERATOR", line=lineno, column=tcol)
+                    raise DdrError(f"undeclared generator {letter.gen!r}",
+                                   code="UNDECLARED_GENERATOR", line=lineno, column=tcol)
                 letter_count += count
                 if letter_count > MAX_RELATOR_LETTERS:
-                    raise PresentationError(
+                    raise DdrError(
                         f"relators exceed {MAX_RELATOR_LETTERS} letters in all",
                         code="TOO_MANY_LETTERS", line=lineno, column=tcol)
             relators.append(_expand(powers))
         else:
-            raise PresentationError(f"unrecognized directive {head!r}", code="SYNTAX",
-                                    line=lineno, column=col)
+            raise DdrError(f"unrecognized directive {head!r}", code="SYNTAX",
+                           line=lineno, column=col)
     if generators is None:
-        raise PresentationError("missing gens: line", code="SYNTAX")
+        raise DdrError("missing gens: line", code="SYNTAX")
     return Presentation(generators, tuple(relators))
 
 

@@ -29,13 +29,8 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Mapping, Optional, Sequence
 
-from .core import Letter, Presentation, UnionFind, Word, free_edge_generators, inverse_word
-
-
-class DiagramError(ValueError):
-    def __init__(self, message: str, *, code: str = "INVALID"):
-        super().__init__(message)
-        self.code = code
+from .core import (DdrError, Letter, Presentation, UnionFind, Word, free_edge_generators,
+                   inverse_word)
 
 
 @dataclass(frozen=True, slots=True)
@@ -258,8 +253,7 @@ class FoldingEdge:
 def _validated(d: SurfaceDiagram, p: Presentation) -> ValidationReport:
     report = validate_diagram(d, p)
     if not report.valid:
-        raise DiagramError("invalid diagram: " + "; ".join(report.errors),
-                           code="INVALID_DIAGRAM")
+        raise DdrError("invalid diagram: " + "; ".join(report.errors), code="INVALID_DIAGRAM")
     return report
 
 
@@ -310,13 +304,13 @@ def directed_verdict(d: SurfaceDiagram, p: Presentation, subset) -> DirectedVerd
         mode = "disc"
         boundary_labels = {d.edge_by_id[step.edge].label for step in d.boundary_cycles[0]}
         if not boundary_labels <= s:
-            raise DiagramError(
+            raise DdrError(
                 f"disc boundary labels {sorted(boundary_labels - s)} are outside the subset",
                 code="HYPOTHESIS_NOT_MET")
     else:
         pinched = f" (pinched at vertices {list(report.pinched)})" if report.pinched else ""
-        raise DiagramError("diagram is neither a sphere nor a disc" + pinched,
-                           code="UNSUPPORTED_SURFACE")
+        raise DdrError("diagram is neither a sphere nor a disc" + pinched,
+                       code="UNSUPPORTED_SURFACE")
     outside = tuple(e.id for e in d.edges if e.label not in s)
     outside_foldings = tuple(f.edge_id for f in _folding_scan(d)
                              if d.edge_by_id[f.edge_id].label not in s)
@@ -332,10 +326,10 @@ def double_disc(d: SurfaceDiagram) -> SurfaceDiagram:
     has nothing to glue and drops out.  Each face is followed by its mirror,
     and vertices and edges are numbered in gluing order."""
     if len(d.boundary_cycles) != 1:
-        raise DiagramError("not a disc: need exactly one boundary cycle", code="NOT_A_DISC")
+        raise DdrError("not a disc: need exactly one boundary cycle", code="NOT_A_DISC")
     chi = d.vertex_count - len(d.edges) + len(d.faces)
     if chi != 1:
-        raise DiagramError("not a disc: Euler characteristic is not 1", code="NOT_A_DISC")
+        raise DdrError("not a disc: Euler characteristic is not 1", code="NOT_A_DISC")
     base = _face_polygons(d)
     matches = []
     for sides in _face_sides(d).values():
@@ -383,12 +377,11 @@ def _glue_polygons(polys: Sequence[tuple[int, int, Word]],
     for (i, s1), (j, s2) in matches:
         for key in ((i, s1), (j, s2)):
             if key in seen_sides:
-                raise DiagramError(f"side {key} matched twice", code="BAD_MATCHING")
+                raise DdrError(f"side {key} matched twice", code="BAD_MATCHING")
             seen_sides.add(key)
     expected = {(k, s) for k, (_, _, w) in enumerate(polys) for s in range(len(w))}
     if seen_sides != expected:
-        raise DiagramError("matching does not cover every side exactly once",
-                           code="BAD_MATCHING")
+        raise DdrError("matching does not cover every side exactly once", code="BAD_MATCHING")
 
     corners = UnionFind()
 
@@ -405,8 +398,8 @@ def _glue_polygons(polys: Sequence[tuple[int, int, Word]],
             corners.union(corner(i, s1), corner(j, s2))
             corners.union(corner(i, s1 + 1), corner(j, s2 + 1))
         else:
-            raise DiagramError(f"matched sides read different generators: {l1} vs {l2}",
-                               code="BAD_MATCHING")
+            raise DdrError(f"matched sides read different generators: {l1} vs {l2}",
+                           code="BAD_MATCHING")
 
     vertex_ids: dict[tuple[int, int], int] = {}
 
@@ -452,7 +445,7 @@ def orientation_double_cover(d: SurfaceDiagram) -> SurfaceDiagram:
     """The two-sheeted orientation cover of a closed surface diagram, built
     by regluing one plain and one mirrored copy of every face."""
     if d.boundary_cycles:
-        raise DiagramError("orientation cover needs a closed surface", code="NOT_CLOSED")
+        raise DdrError("orientation cover needs a closed surface", code="NOT_CLOSED")
     base = _face_polygons(d)
     matches = [(_sheet_side(base, side1, spin), _sheet_side(base, side2, spin * rel))
                for _, side1, side2, rel in _side_pairs(d) for spin in (1, -1)]
@@ -472,15 +465,14 @@ def matched_surface(p: Presentation, x: str) -> SurfaceDiagram:
     by its orientation double cover.
     """
     if x not in p.generator_set:
-        raise DiagramError(f"{x!r} is not a generator", code="BAD_GENERATOR")
+        raise DdrError(f"{x!r} is not a generator", code="BAD_GENERATOR")
     if x in free_edge_generators(p):
-        raise DiagramError(f"{x!r} occurs exactly once: it is a free edge",
-                           code="FREE_EDGE_GENERATOR")
+        raise DdrError(f"{x!r} occurs exactly once: it is a free edge", code="FREE_EDGE_GENERATOR")
     if not any(x == l.gen for r in p.relators for l in r):
-        raise DiagramError(f"{x!r} occurs in no relator", code="ABSENT_GENERATOR")
+        raise DdrError(f"{x!r} occurs in no relator", code="ABSENT_GENERATOR")
     for idx, r in enumerate(p.relators):
         if not r:
-            raise DiagramError(f"relator {idx} is empty", code="EMPTY_RELATOR")
+            raise DdrError(f"relator {idx} is empty", code="EMPTY_RELATOR")
 
     base = [(idx, 1, rel) for idx, rel in enumerate(p.relators)]
     matches = []
@@ -513,7 +505,7 @@ def _component_with_label(d: SurfaceDiagram, x: str) -> SurfaceDiagram:
     for root in map(faces.find, range(len(d.faces))):
         if root in carriers:
             return _restrict_to_faces(d, [f for f in range(len(d.faces)) if faces.find(f) == root])
-    raise DiagramError(f"no component contains {x!r}", code="ABSENT_GENERATOR")
+    raise DdrError(f"no component contains {x!r}", code="ABSENT_GENERATOR")
 
 
 # --- JSON interchange -----------------------------------------------------
@@ -533,20 +525,30 @@ def diagram_to_json_dict(d: SurfaceDiagram) -> dict:
     return out
 
 
+def _typed(value, kind: type):
+    # exactly this JSON type: int() would truncate 4.5 and accept true and
+    # "2", and str() would read null as the generator name "None"
+    if type(value) is not kind:
+        raise TypeError(f"expected {kind.__name__}, got {value!r}")
+    return value
+
+
+def _step(obj: dict) -> BoundaryStep:
+    return BoundaryStep(_typed(obj["edge"], int), _typed(obj["dir"], int))
+
+
 def diagram_from_json_dict(obj: dict) -> SurfaceDiagram:
     try:
-        edges = tuple(DiagramEdge(int(e["id"]), str(e["label"]), int(e["from"]), int(e["to"]))
+        edges = tuple(DiagramEdge(_typed(e["id"], int), _typed(e["label"], str),
+                                  _typed(e["from"], int), _typed(e["to"], int))
                       for e in obj["edges"])
-        faces = tuple(DiagramFace(int(f["relator"]), int(f["sign"]),
-                                  tuple(BoundaryStep(int(s["edge"]), int(s["dir"]))
-                                        for s in f["boundary"]))
+        faces = tuple(DiagramFace(_typed(f["relator"], int), _typed(f["sign"], int),
+                                  tuple(map(_step, f["boundary"])))
                       for f in obj["faces"])
-        cycles = tuple(tuple(BoundaryStep(int(s["edge"]), int(s["dir"])) for s in cycle)
-                       for cycle in obj.get("boundaryCycles", []))
-        return SurfaceDiagram(int(obj["vertexCount"]), edges, faces, cycles)
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        # int() raises ValueError on NaN or text, OverflowError on infinity
-        raise DiagramError(f"malformed diagram JSON: {exc}", code="SYNTAX") from exc
+        cycles = tuple(tuple(map(_step, cycle)) for cycle in obj.get("boundaryCycles", []))
+        return SurfaceDiagram(_typed(obj["vertexCount"], int), edges, faces, cycles)
+    except (KeyError, TypeError) as exc:
+        raise DdrError(f"malformed diagram JSON: {exc}", code="SYNTAX") from exc
 
 
 def dumps_diagram(d: SurfaceDiagram) -> str:
@@ -556,6 +558,7 @@ def dumps_diagram(d: SurfaceDiagram) -> str:
 def loads_diagram(text: str) -> SurfaceDiagram:
     try:
         obj = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise DiagramError(f"malformed diagram JSON: {exc}", code="SYNTAX") from exc
+    except (ValueError, RecursionError) as exc:
+        # JSONDecodeError, a number past the limit on digits converted, or nesting
+        raise DdrError(f"malformed diagram JSON: {exc}", code="SYNTAX") from exc
     return diagram_from_json_dict(obj)

@@ -21,20 +21,13 @@ from functools import cached_property
 from typing import Mapping
 
 from .certificates import CERTIFIED_DR_AWAY_FROM, UNKNOWN, Certificate
-from .core import Letter, Presentation, UnionFind, presentation_digest
+from .core import DdrError, Letter, Presentation, UnionFind, presentation_digest
 # search_weights is unused here; bench/test_harness.py checks its tracer rebinds it
 from .weights import search_weights
 from .whitehead import (NEGATIVE, POSITIVE, GraphView, build_whitehead, is_forest,
                         reduced_girth)
 
 _NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*\Z")
-
-
-class LotError(ValueError):
-    def __init__(self, message: str, *, code: str = "INVALID", line: int | None = None):
-        super().__init__(message + (f" (line {line})" if line is not None else ""))
-        self.code = code
-        self.line = line
 
 
 @dataclass(frozen=True, slots=True)
@@ -53,23 +46,35 @@ class LOT:
         seen = set()
         for v in self.vertices:
             if not _NAME_RE.match(v):
-                raise LotError(f"invalid vertex name {v!r}", code="BAD_NAME")
+                raise DdrError(f"invalid vertex name {v!r}", code="BAD_NAME")
             if v in seen:
-                raise LotError(f"duplicate vertex {v!r}", code="DUPLICATE_VERTEX")
+                raise DdrError(f"duplicate vertex {v!r}", code="DUPLICATE_VERTEX")
             seen.add(v)
         for e in self.edges:
             for v in (e.source, e.target):
                 if v not in seen:
-                    raise LotError(f"edge endpoint {v!r} is not a vertex", code="NOT_A_TREE")
+                    raise DdrError(f"edge endpoint {v!r} is not a vertex", code="NOT_A_TREE")
             if e.label not in seen:
-                raise LotError(f"edge label {e.label!r} is not a vertex",
+                raise DdrError(f"edge label {e.label!r} is not a vertex",
                                code="LABEL_NOT_A_VERTEX")
             if e.source == e.target:
-                raise LotError("self-loop edge", code="NOT_A_TREE")
+                raise DdrError("self-loop edge", code="NOT_A_TREE")
         # no vertices means no edges, so the length test fails first
         if len(self.edges) != len(self.vertices) - 1 or \
                 _reach(self.edges, self.vertices[0], None) != self.vertex_set:
-            raise LotError("underlying graph is not a tree", code="NOT_A_TREE")
+            raise DdrError("underlying graph is not a tree", code="NOT_A_TREE")
+
+    @cached_property
+    def presentation(self) -> Presentation:
+        """One relator u1 u3 u2^-1 u3^-1 per edge, in edge order; kept with
+        the LOT, like its digest, so a command builds it once."""
+        return Presentation(self.vertices, tuple(
+            (Letter(e.source, 1), Letter(e.label, 1), Letter(e.target, -1), Letter(e.label, -1))
+            for e in self.edges))
+
+    @cached_property
+    def digest(self) -> str:
+        return presentation_digest(self.presentation)
 
     @cached_property
     def source_sides(self) -> tuple[frozenset[str], ...]:
@@ -118,7 +123,7 @@ def make_sublot(lot: LOT, vertices) -> SubLot:
     vs = frozenset(vertices)
     unknown = vs - lot.vertex_set
     if unknown:
-        raise LotError(f"sub-LOT vertices {sorted(unknown)} not in the LOT", code="BAD_SUBLOT")
+        raise DdrError(f"sub-LOT vertices {sorted(unknown)} not in the LOT", code="BAD_SUBLOT")
     edge_idx = frozenset(i for i, e in enumerate(lot.edges)
                          if e.source in vs and e.target in vs)
     _validate_sublot(lot, vs, edge_idx)
@@ -130,16 +135,16 @@ def _validate_sublot(lot: LOT, vs: frozenset[str], edge_idx: frozenset[int]) -> 
     and are connected: k edges of a tree are connected exactly when they
     span k + 1 vertices."""
     if not edge_idx:
-        raise LotError("a sub-LOT needs at least one edge", code="BAD_SUBLOT")
+        raise DdrError("a sub-LOT needs at least one edge", code="BAD_SUBLOT")
     if _endpoints(lot, edge_idx) != vs:
-        raise LotError("sub-LOT vertex set does not match its edges (disconnected vertex?)",
+        raise DdrError("sub-LOT vertex set does not match its edges (disconnected vertex?)",
                        code="BAD_SUBLOT")
     outside = sorted({lot.edges[i].label for i in edge_idx} - vs)
     if outside:
-        raise LotError(f"sub-LOT is not label-closed: label {outside[0]!r} outside",
+        raise DdrError(f"sub-LOT is not label-closed: label {outside[0]!r} outside",
                        code="BAD_SUBLOT")
     if len(vs) != len(edge_idx) + 1:
-        raise LotError("sub-LOT is not connected", code="BAD_SUBLOT")
+        raise DdrError("sub-LOT is not connected", code="BAD_SUBLOT")
 
 
 def _reach(edges: tuple[LotEdge, ...], start: str, cut: int | None) -> frozenset[str]:
@@ -254,21 +259,21 @@ def parse_lot_document(text: str) -> LotDocument:
         head = tokens[0]
         if head == "vertices:":
             if saw_vertices:
-                raise LotError("second vertices: line", code="SYNTAX", line=lineno)
+                raise DdrError("second vertices: line", code="SYNTAX", line=lineno)
             saw_vertices = True
             declared.extend(tokens[1:])
         elif head == "edge":
             if len(tokens) != 4:
-                raise LotError("expected: edge <source> <target> <label>",
+                raise DdrError("expected: edge <source> <target> <label>",
                                code="SYNTAX", line=lineno)
             edges.append(LotEdge(tokens[1], tokens[2], tokens[3]))
         elif head == "sublot:":
             if len(tokens) < 3:
-                raise LotError("expected: sublot: <name> <v1> <v2> ...",
+                raise DdrError("expected: sublot: <name> <v1> <v2> ...",
                                code="SYNTAX", line=lineno)
             sublot_specs.append((tokens[1], tokens[2:], lineno))
         else:
-            raise LotError(f"unrecognized directive {head!r}", code="SYNTAX", line=lineno)
+            raise DdrError(f"unrecognized directive {head!r}", code="SYNTAX", line=lineno)
     vertices = list(declared)
     for e in edges:
         for v in (e.source, e.target):
@@ -278,11 +283,11 @@ def parse_lot_document(text: str) -> LotDocument:
     sublots = {}
     for name, vs, lineno in sublot_specs:
         if name in sublots:
-            raise LotError(f"duplicate sublot name {name!r}", code="SYNTAX", line=lineno)
+            raise DdrError(f"duplicate sublot name {name!r}", code="SYNTAX", line=lineno)
         try:
             sublots[name] = make_sublot(lot, vs)
-        except LotError as exc:
-            raise LotError(f"sublot {name!r}: {exc}", code=exc.code, line=lineno) from exc
+        except DdrError as exc:
+            raise DdrError(f"sublot {name!r}: {exc}", code=exc.code, line=lineno) from exc
     return LotDocument(lot, sublots)
 
 
@@ -291,14 +296,6 @@ def serialize_lot(lot: LOT) -> str:
     for e in lot.edges:
         lines.append(f"edge {e.source} {e.target} {e.label}")
     return "\n".join(lines) + "\n"
-
-
-def lot_presentation(lot: LOT) -> Presentation:
-    relators = []
-    for e in lot.edges:
-        relators.append((Letter(e.source, 1), Letter(e.label, 1),
-                         Letter(e.target, -1), Letter(e.label, -1)))
-    return Presentation(lot.vertices, tuple(relators))
 
 
 @dataclass(frozen=True)
@@ -317,10 +314,10 @@ def collapse(lot: LOT, t: SubLot, y: str) -> LOT:
     """Collapse the sub-LOT to a single vertex y: its edges disappear and
     every occurrence of its vertices (endpoint or label) becomes y."""
     if t.parent != lot:
-        raise LotError("sub-LOT does not belong to this LOT", code="BAD_SUBLOT")
+        raise DdrError("sub-LOT does not belong to this LOT", code="BAD_SUBLOT")
     _validate_sublot(lot, t.vertex_subset, t.edge_indices)
     if y in lot.vertex_set - t.vertex_subset:
-        raise LotError(f"collapse vertex {y!r} collides with a remaining vertex",
+        raise DdrError(f"collapse vertex {y!r} collides with a remaining vertex",
                        code="NAME_COLLISION")
     vertices: list[str] = []
     placed = False
@@ -378,7 +375,7 @@ def reorient_positive_tree(lot: LOT) -> LOT:
     candidate = LOT(lot.vertices, tuple(
         e if s == e.source else LotEdge(e.target, e.source, e.label)
         for e, s in zip(lot.edges, sources)))
-    graph = build_whitehead(lot_presentation(candidate))
+    graph = build_whitehead(candidate.presentation)
     if not is_forest(GraphView(graph, POSITIVE)).forest:
         raise AssertionError("leaf peeling produced a positive graph with a cycle")
     return candidate
@@ -404,7 +401,7 @@ def certify_lot(lot: LOT, t: SubLot) -> Certificate:
     them, asphericity included when the sub-LOT's own presentation passes
     the reducibility ladder.
     """
-    digest = presentation_digest(lot_presentation(lot))
+    digest = lot.digest
     s = tuple(sorted(t.vertex_subset))
 
     def failure(reason: str, **extra) -> Certificate:
@@ -413,7 +410,7 @@ def certify_lot(lot: LOT, t: SubLot) -> Certificate:
         return Certificate(digest, s, UNKNOWN, "lot_collapse", evidence=evidence)
 
     if t.parent != lot:
-        raise LotError("sub-LOT does not belong to this LOT", code="BAD_SUBLOT")
+        raise DdrError("sub-LOT does not belong to this LOT", code="BAD_SUBLOT")
     _validate_sublot(lot, t.vertex_subset, t.edge_indices)
     if not lot_properties(lot).compressed:
         return failure("the LOT is not compressed")
@@ -430,7 +427,7 @@ def certify_lot(lot: LOT, t: SubLot) -> Certificate:
     if not lot_properties(collapsed).compressed:
         return failure("the collapsed LOT is not compressed",
                        collapsed=serialize_lot(collapsed))
-    graph = build_whitehead(lot_presentation(collapsed))
+    graph = build_whitehead(collapsed.presentation)
     forest_pos = is_forest(GraphView(graph, POSITIVE))
     forest_neg = is_forest(GraphView(graph, NEGATIVE))
     girth = reduced_girth(graph)

@@ -25,14 +25,13 @@ from fractions import Fraction
 from . import __version__
 from .certificates import (CERTIFIED_DR_ALL_DIRECTIONS, CERTIFIED_DR_AWAY_FROM,
                            DECIDED_DR, DECIDED_NOT_DR, REFUTED, Certificate, Report)
-from .cayley import CayleyError, check_coset_limit, decide_finite
-from .core import (Presentation, check_preconditions, free_edge_generators,
+from .cayley import check_coset_limit, decide_finite
+from .core import (DdrError, Presentation, check_preconditions, free_edge_generators,
                    is_cyclically_reduced, presentation_digest, subpresentation,
                    word_stats, word_support)
 from .diagram import REFUTES, DirectedVerdict, SurfaceDiagram, directed_verdict
-from .smallcancel import SmallCancellationError, certify_s44
-from .weights import (SearchBudgetSpent, WeightAssignment, WeightError, search_weights,
-                      verify_weight_test)
+from .smallcancel import certify_s44
+from .weights import SearchBudgetSpent, WeightAssignment, search_weights, verify_weight_test
 from .whitehead import NEGATIVE, POSITIVE, GraphView, build_whitehead, is_forest
 
 
@@ -108,7 +107,7 @@ def _forest_test(p: Presentation, s: frozenset[str], digest: str, config: CheckC
 def _s44_test(p: Presentation, s: frozenset[str], digest: str, config: CheckConfig):
     try:
         cert = certify_s44(p, s)
-    except SmallCancellationError as exc:
+    except DdrError as exc:
         return None, _attempt("s44", "skipped", f"{exc.code}: {exc}")
     if cert.positive:
         return cert, _attempt("s44", "certified")
@@ -121,7 +120,7 @@ def _weight_test(p: Presentation, s: frozenset[str], digest: str, config: CheckC
             source, wcert = "search", search_weights(p, s)
         else:
             source, wcert = "supplied", verify_weight_test(p, s, config.weights)
-    except WeightError as exc:
+    except DdrError as exc:
         return None, _attempt("weight", "skipped", f"{exc.code}: {exc}")
     except SearchBudgetSpent as exc:
         return None, _attempt("weight", "unknown", str(exc))
@@ -140,7 +139,7 @@ def _weight_test(p: Presentation, s: frozenset[str], digest: str, config: CheckC
 def _finite_test(p: Presentation, s: frozenset[str], digest: str, config: CheckConfig):
     try:
         decision = decide_finite(p, s, config.coset_limit)
-    except CayleyError as exc:
+    except DdrError as exc:
         return None, _attempt("finite", "skipped", f"{exc.code}: {exc}")
     if decision.verdict == "UNKNOWN":
         attempt = _attempt("finite", "unknown", decision.reason)
@@ -181,6 +180,11 @@ class CheckConfig:
 
     def __post_init__(self):
         check_coset_limit(self.coset_limit)
+        for i, name in enumerate(self.tests):
+            if name not in TESTS:
+                raise DdrError(f"unknown test {name!r}", code="USAGE")
+            if name in self.tests[:i]:
+                raise DdrError(f"test {name!r} is named twice", code="USAGE")
 
 
 def presentation_dr(p: Presentation) -> dict | None:
@@ -281,13 +285,11 @@ def run_check(p: Presentation, subset=frozenset(), config: CheckConfig | None = 
     )
     if config.all_directions:
         if subset:
-            raise ValueError("--all-directions and --away-from exclude each other")
+            raise DdrError("--all-directions and --away-from exclude each other", code="USAGE")
         return _run_all_directions(p, config, digest, report)
     s = check_preconditions(p, subset, cyclically_reduced=False)
     carried: dict = {}
     for name in config.tests:
-        if name not in TESTS:
-            raise ValueError(f"unknown test {name!r}")
         cert, attempt = TESTS[name](p, s, digest, config)
         report.attempts.append(attempt)
         if cert is not None:

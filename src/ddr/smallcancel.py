@@ -19,7 +19,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .certificates import CERTIFIED_DR_AWAY_FROM, UNKNOWN, Certificate
-from .core import (Presentation, Word, check_preconditions, inverse_word,
+from .core import (DdrError, Presentation, Word, check_preconditions, inverse_word,
                    presentation_digest, rotate_word)
 from .weights import WeightAssignment, verify_weight_test
 from .whitehead import build_whitehead, shortest_reduced_cycle_in_range
@@ -27,12 +27,6 @@ from .whitehead import build_whitehead, shortest_reduced_cycle_in_range
 T_Q_CONVENTION = ("T(q) checked on the star graph as: no reduced cycle of length L "
                   "with 3 <= L < q; length-2 cycles through parallel corners are "
                   "handled by the weight construction instead.")
-
-
-class SmallCancellationError(ValueError):
-    def __init__(self, message: str, *, code: str):
-        super().__init__(message)
-        self.code = code
 
 
 @dataclass(frozen=True)
@@ -50,7 +44,7 @@ class SymmetrizedRelator:
 def symmetrized_closure(p: Presentation) -> tuple[SymmetrizedRelator, ...]:
     """All rotations of all relators and their inverses, with provenance;
     2|r| entries per relator."""
-    check_preconditions(p, error=SmallCancellationError)
+    check_preconditions(p)
     out = []
     for idx, rel in enumerate(p.relators):
         for inverted in (False, True):
@@ -154,7 +148,7 @@ def check_small_cancellation(p: Presentation, p_val: int, q_val: int) -> SmallCa
     """C(p): no symmetrized occurrence is a product of fewer than p pieces.
     T(q): no reduced star-graph cycle of length L with 3 <= L < q."""
     if p_val < 2 or q_val < 3:
-        raise SmallCancellationError("need p >= 2 and q >= 3", code="BAD_PARAMETERS")
+        raise DdrError("need p >= 2 and q >= 3", code="BAD_PARAMETERS")
     table = piece_table(p)
     c_witness = next((w for w in _piece_products(table) if w[1] < p_val), None)
     t_witness = shortest_reduced_cycle_in_range(build_whitehead(p), 3, q_val)
@@ -181,7 +175,7 @@ def certify_s44(p: Presentation, subset) -> Certificate:
     1/2 or 2/3 depending on the case) are built and re-verified with the
     exact weight-test checker; the verified weight certificate is embedded.
     """
-    s = check_preconditions(p, subset, SmallCancellationError)
+    s = check_preconditions(p, subset)
     digest = presentation_digest(p)
     # one pass decides C(4) and C(6): fewer than 4 pieces is also fewer than 6
     table = piece_table(p)
@@ -230,7 +224,7 @@ def certify_s44(p: Presentation, subset) -> Certificate:
     assignment = WeightAssignment(weights)
     cert = verify_weight_test(p, s, assignment, graph)
     if not cert.passed:
-        raise SmallCancellationError(
+        raise DdrError(
             "constructed weights failed the exact weight-test verifier; "
             "the T(q) operationalization and this input disagree",
             code="WEIGHT_CROSS_CHECK_FAILED")

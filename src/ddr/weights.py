@@ -31,12 +31,13 @@ search reports it.
 
 from __future__ import annotations
 
+import re
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Optional
 
-from .core import Presentation, check_preconditions
+from .core import DdrError, Presentation, check_preconditions
 from .whitehead import (WhiteheadGraph, build_whitehead, min_weight_reduced_cycle,
                         reduced_cycles_below)
 
@@ -45,12 +46,9 @@ from .whitehead import (WhiteheadGraph, build_whitehead, min_weight_reduced_cycl
 Constraint = tuple[Mapping[int, Fraction], str, Fraction]
 # search_weights gives up with SearchBudgetSpent after this many rounds of cuts
 MAX_SEARCH_ROUNDS = 10000
-
-
-class WeightError(ValueError):
-    def __init__(self, message: str, *, code: str):
-        super().__init__(message)
-        self.code = code
+# a weight in a file is <p>/<q> or an integer: Fraction() alone also takes
+# exponent notation, and its time to parse "1e999999999" has no useful bound
+_WEIGHT_RE = re.compile(r"-?[0-9]+(/[0-9]+)?\Z")
 
 
 class SearchBudgetSpent(Exception):
@@ -60,18 +58,22 @@ class SearchBudgetSpent(Exception):
 
 @dataclass(frozen=True)
 class WeightAssignment:
-    """Exact rational weight per corner edge; the domain must cover every
-    edge of the target graph and all weights are nonnegative."""
+    """Exact rational weight per corner edge; the domain must be exactly the
+    edges of the target graph and all weights are nonnegative."""
 
     weights: Mapping[int, Fraction]
 
     def check_against(self, graph: WhiteheadGraph) -> None:
         missing = [e.id for e in graph.edges if e.id not in self.weights]
         if missing:
-            raise WeightError(f"weights missing for edges {missing}", code="BAD_DOMAIN")
+            raise DdrError(f"weights missing for edges {missing}", code="BAD_DOMAIN")
+        extra = sorted(set(self.weights) - {e.id for e in graph.edges})
+        if extra:
+            raise DdrError(f"weights given for edges the graph lacks: {extra}",
+                           code="BAD_DOMAIN")
         for eid, w in self.weights.items():
             if Fraction(w) < 0:
-                raise WeightError(f"negative weight on edge {eid}", code="NEGATIVE_WEIGHT")
+                raise DdrError(f"negative weight on edge {eid}", code="NEGATIVE_WEIGHT")
 
     def serialize(self) -> str:
         lines = []
@@ -88,16 +90,15 @@ class WeightAssignment:
             if not line:
                 continue
             parts = line.split()
-            if len(parts) != 3 or parts[0] != "w":
-                raise WeightError(f"line {lineno}: expected 'w <edge> <p>/<q>'", code="SYNTAX")
+            if len(parts) != 3 or parts[0] != "w" or not _WEIGHT_RE.match(parts[2]):
+                raise DdrError(f"line {lineno}: expected 'w <edge> <p>/<q>'", code="SYNTAX")
             try:
                 eid = int(parts[1])
                 weight = Fraction(parts[2])
             except (ValueError, ZeroDivisionError) as exc:
-                raise WeightError(f"line {lineno}: {exc}", code="SYNTAX") from exc
+                raise DdrError(f"line {lineno}: {exc}", code="SYNTAX") from exc
             if eid in weights:
-                raise WeightError(f"line {lineno}: edge {eid} already has a weight",
-                                  code="SYNTAX")
+                raise DdrError(f"line {lineno}: edge {eid} already has a weight", code="SYNTAX")
             weights[eid] = weight
         return WeightAssignment(weights)
 
@@ -150,7 +151,7 @@ def verify_weight_test(p: Presentation, subset, assignment: WeightAssignment,
     """Check the four weight-test conditions exactly; every condition is
     evaluated even after an earlier one fails, so the certificate carries a
     complete picture."""
-    s = check_preconditions(p, subset, WeightError)
+    s = check_preconditions(p, subset)
     if graph is None:
         graph = build_whitehead(p)
     assignment.check_against(graph)
@@ -198,7 +199,7 @@ def search_weights(p: Presentation, subset) -> Optional[WeightCertificate]:
     weight test is sufficient, not necessary.  Raises SearchBudgetSpent
     after `MAX_SEARCH_ROUNDS` rounds.
     """
-    s = check_preconditions(p, subset, WeightError)
+    s = check_preconditions(p, subset)
     graph = build_whitehead(p)
     # per edge its lower bound 0, 1/2 or 1; the tableau solves for y = w - lower
     lower = {e.id: Fraction((e.a.gen in s) + (e.b.gen in s), 2) for e in graph.edges}

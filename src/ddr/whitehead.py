@@ -28,7 +28,7 @@ from functools import cached_property
 from math import inf, lcm
 from typing import Iterator, Mapping, Optional
 
-from .core import Letter, Presentation, PresentationError, UnionFind
+from .core import DdrError, Letter, Presentation, UnionFind
 
 FULL = "full"
 POSITIVE = "positive"
@@ -128,7 +128,7 @@ def build_whitehead(p: Presentation) -> WhiteheadGraph:
     edges: list[CornerEdge] = []
     for r_idx, rel in enumerate(p.relators):
         if not rel:
-            raise PresentationError(f"relator {r_idx} is empty", code="EMPTY_RELATOR")
+            raise DdrError(f"relator {r_idx} is empty", code="EMPTY_RELATOR")
         n = len(rel)
         for pos in range(n):
             cur, nxt = rel[pos], rel[(pos + 1) % n]

@@ -6,11 +6,10 @@ from fractions import Fraction
 from itertools import product
 from typing import Mapping
 
-from ddr.cayley import (COLLAPSED, STUCK, CayleyCell, CayleyError, CollapseLog, CollapseStep,
-                        GroupTable)
-from ddr.core import Letter, Presentation, Word, inverse_word, word_support
+from ddr.cayley import (COLLAPSED, STUCK, CayleyCell, CollapseLog, CollapseStep, GroupTable)
+from ddr.core import DdrError, Letter, Presentation, Word, inverse_word, word_support
 from ddr.diagram import SurfaceDiagram
-from ddr.lot import LOT, LotEdge, LotError
+from ddr.lot import LOT, LotEdge
 from ddr.whitehead import WhiteheadGraph
 
 
@@ -343,7 +342,7 @@ def tuple_complex(table: GroupTable, p: Presentation) -> tuple[CayleyCell, ...]:
                     cur = table.forward[letter.gen].index(cur)
                     steps.append(((cur, letter.gen), -1))
             if cur != element:
-                raise CayleyError("relator lift does not close", code="BAD_TABLE")
+                raise DdrError("relator lift does not close", code="BAD_TABLE")
             cells.append(CayleyCell(element, r_idx, tuple(steps)))
     return tuple(cells)
 
@@ -404,19 +403,19 @@ def insert(lbar: LOT, y: str, t: LOT,
     exactly the edges that mention y in that role.
     """
     if y not in lbar.vertex_set:
-        raise LotError(f"{y!r} is not a vertex", code="BAD_VERTEX")
+        raise DdrError(f"{y!r} is not a vertex", code="BAD_VERTEX")
     collision = (lbar.vertex_set - {y}) & t.vertex_set
     if collision:
-        raise LotError(f"vertex names {sorted(collision)} collide with the inserted tree",
+        raise DdrError(f"vertex names {sorted(collision)} collide with the inserted tree",
                        code="NAME_COLLISION")
     need_endpoint = {i for i, e in enumerate(lbar.edges) if y in (e.source, e.target)}
     need_label = {i for i, e in enumerate(lbar.edges) if e.label == y}
     if set(endpoint_attachment) != need_endpoint or set(label_attachment) != need_label:
-        raise LotError("attachment underspecified or mentions edges without y",
+        raise DdrError("attachment underspecified or mentions edges without y",
                        code="ATTACHMENT_UNDERSPECIFIED")
     for v in list(endpoint_attachment.values()) + list(label_attachment.values()):
         if v not in t.vertex_set:
-            raise LotError(f"attachment vertex {v!r} is not in the inserted tree",
+            raise DdrError(f"attachment vertex {v!r} is not in the inserted tree",
                            code="ATTACHMENT_UNDERSPECIFIED")
     vertices: list[str] = []
     for v in lbar.vertices:

@@ -21,8 +21,7 @@ from ddr.core import (Presentation, free_edge_generators, is_cyclically_reduced,
                       word_support)
 from ddr.diagram import (directed_verdict, folding_edges, loads_diagram,
                          matched_surface, validate_diagram)
-from ddr.lot import (certify_lot, collapse, lot_presentation,
-                     reorient_positive_tree, sub_lots)
+from ddr.lot import certify_lot, collapse, reorient_positive_tree, sub_lots
 from ddr.smallcancel import (certify_s44, check_small_cancellation,
                              min_piece_decomposition, piece_table,
                              symmetrized_closure)
@@ -99,7 +98,7 @@ KNOWN_GOOD_SETS = [{"x1", "x2", "x5"}, {"x1", "x2"}, {"x1", "x4"}, {"x1", "x5"},
 
 
 def test_c05_fxl1_small_cancellation(fxl1_doc):
-    p = lot_presentation(fxl1_doc.lot)
+    p = fxl1_doc.lot.presentation
     sc = check_small_cancellation(p, 4, 4)
     ok = sc.c_holds and sc.t_holds
     for s in KNOWN_GOOD_SETS:
@@ -125,13 +124,13 @@ def test_c06_fxl2_chain(fxl2_doc):
     printed = [(e.source, e.target, e.label) for e in bar.edges]
     expected = [("u2", "u3", "u1"), ("u1", "u2", "u3"),
                 ("y", "u1", "u4"), ("y", "u4", "u3")]
-    graph = build_whitehead(lot_presentation(bar))
+    graph = build_whitehead(bar.presentation)
     forest = is_forest(GraphView(graph, POSITIVE)).forest
     cert = certify_lot(lot, t)
-    consequences = derive_consequences(cert, lot_presentation(lot), t.vertex_subset, {})
+    consequences = derive_consequences(cert, lot.presentation, t.vertex_subset, {})
     aspherical = any(c["kind"] == "aspherical" for c in consequences)
     sub_w_minus = is_forest(GraphView(
-        build_whitehead(subpresentation(lot_presentation(lot), t.vertex_subset)),
+        build_whitehead(subpresentation(lot.presentation, t.vertex_subset)),
         NEGATIVE)).forest
     ok = (found and bar.vertices == ("u3", "u2", "u1", "y", "u4")
           and printed == expected and forest
@@ -322,7 +321,7 @@ def test_c11_reorientation_sweep():
         except Exception:
             failures += 1
             continue
-        graph = build_whitehead(lot_presentation(out))
+        graph = build_whitehead(out.presentation)
         if not is_forest(GraphView(graph, POSITIVE)).forest:
             failures += 1
     report_line("C11 reorientation", failures == 0, f"200 random trees, {failures} failures")

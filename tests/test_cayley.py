@@ -9,8 +9,8 @@ from oracles import (first_nontrivial_relator, infinitude_proof_error, rescan_co
                      tuple_complex)
 from ddr import cayley
 from ddr.cli import main
-from ddr.core import Presentation, parse_presentation
-from ddr.cayley import (COLLAPSED, STUCK, CayleyError, CollapseStep, GroupTable,
+from ddr.core import DdrError, Presentation, parse_presentation
+from ddr.cayley import (COLLAPSED, STUCK, CollapseStep, GroupTable,
                         abelian_free_rank, build_cayley_complex, coset_enumeration,
                         decide_finite, directed_collapse, prove_infinite, replay_collapse)
 from ddr.pipeline import CheckConfig, run_check
@@ -82,18 +82,20 @@ class TestEnumeration:
     def test_bad_table_detected(self):
         p = parse_presentation("gens: a\nrel: a^2")
         bad = GroupTable(("a",), {"a": (0, 0)})
-        with pytest.raises(CayleyError):
+        with pytest.raises(DdrError) as exc:
             bad.validate(p)
+        assert exc.value.code == "BAD_TABLE"
 
     def test_validate_names_first_failing_element(self):
         p = parse_presentation("gens: a b\nrel: a^2\nrel: a b a^-1 b^-1")
         # a swaps 0,1 and fixes 2,3; b = (1 2): the commutator moves 0 first
         table = GroupTable(("a", "b"), {"a": (1, 0, 2, 3), "b": (0, 2, 1, 3)})
-        with pytest.raises(CayleyError, match="relator 1 does not act trivially from 0") as exc:
+        with pytest.raises(DdrError, match="relator 1 does not act trivially from 0") as exc:
             table.validate(p)
         assert exc.value.code == "BAD_TABLE"
-        with pytest.raises(CayleyError, match="action of 'b' is not a permutation"):
+        with pytest.raises(DdrError, match="action of 'b' is not a permutation") as exc:
             GroupTable(("a", "b"), {"a": (1, 0), "b": (0, 0)}).validate(p)
+        assert exc.value.code == "BAD_TABLE"
 
 
 class TestValidate:
@@ -104,7 +106,7 @@ class TestValidate:
     @staticmethod
     def assert_refused(table, p):
         idx, element = first_nontrivial_relator(table, p)
-        with pytest.raises(CayleyError, match=f"^relator {idx} does not act trivially "
+        with pytest.raises(DdrError, match=f"^relator {idx} does not act trivially "
                                               f"from {element}$") as exc:
             table.validate(p)
         assert exc.value.code == "BAD_TABLE"
@@ -220,8 +222,9 @@ class TestDecide:
         assert decide_finite(fx4, set(), 100).verdict == "UNKNOWN"
 
     def test_improper_subset(self, fx1):
-        with pytest.raises(CayleyError):
+        with pytest.raises(DdrError) as exc:
             decide_finite(fx1, {"a", "b", "c"}, 100)
+        assert exc.value.code == "S_NOT_PROPER"
 
     def test_torsion_not_dr(self):
         p = parse_presentation("gens: a\nrel: a^3")
@@ -500,7 +503,7 @@ class TestCosetLimit:
         monkeypatch.setattr(cayley, "MAX_COSET_LIMIT", 50)
         assert CheckConfig(coset_limit=50).coset_limit == 50
         for bad in (0, -3, 51):
-            with pytest.raises(CayleyError, match="between 1 and 50") as exc:
+            with pytest.raises(DdrError, match="between 1 and 50") as exc:
                 CheckConfig(coset_limit=bad)
             assert exc.value.code == "BAD_LIMIT"
 

@@ -48,8 +48,9 @@ class TestRunCheck:
             {"free", "onerel", "forest", "s44", "weight", "finite"}
 
     def test_improper_subset_rejected(self, fx4):
-        with pytest.raises(core.PresentationError):
+        with pytest.raises(core.DdrError) as exc:
             run_check(fx4, {"a", "b"})
+        assert exc.value.code == "S_NOT_PROPER"
 
     def test_report_deterministic(self, fx3):
         a = run_check(fx3, {"x1", "x2"}, CheckConfig(run_all=True)).to_json()
@@ -148,6 +149,29 @@ class TestWorkDoneOnce:
         cert = lot.certify_lot(fxl2, lot.make_sublot(fxl2, {"x1", "x2", "x3"}))
         assert cert.evidence["enclosing_maximal"] == [["x1", "x2", "x3", "x4", "x5"]]
         assert counts == {}
+        capsys.readouterr()
+
+    def test_lot_builds_one_presentation_per_lot(self, monkeypatch, capsys):
+        # the file's LOT, its reorientation and each collapse build their
+        # presentation once, however many steps read it
+        lots, built = [], Counter()
+        lot_init, presentation_init = lot.LOT.__post_init__, core.Presentation.__post_init__
+
+        def record_lot(self):
+            lot_init(self)
+            lots.append(self)
+
+        def record_presentation(self):
+            presentation_init(self)
+            built[self.generators, self.relators] += 1
+
+        monkeypatch.setattr(lot.LOT, "__post_init__", record_lot)
+        monkeypatch.setattr(core.Presentation, "__post_init__", record_presentation)
+        assert main(["lot", str(FIXTURES / "fxl2.lot"), "--reorient"]) == 0
+        monkeypatch.undo()
+        per_value = Counter((t.presentation.generators, t.presentation.relators) for t in lots)
+        assert len(lots) >= 3
+        assert {key: built[key] for key in per_value} == per_value
         capsys.readouterr()
 
     def test_lot_sublot_does_not_enumerate_the_lattice(self, monkeypatch, capsys):
@@ -340,6 +364,37 @@ class TestCommandLine:
         capsys.readouterr()
 
 
+class TestOptionsBeforeTests:
+    """`ddr check` refuses its options and reads every file before the first
+    test runs."""
+
+    @pytest.mark.parametrize("argv, message", [
+        (["fx4.pres", "--away-from", "a", "--tests", "forest,bogus"], "unknown test 'bogus'"),
+        (["genus2.pres", "--all-directions", "--tests", "onerel,bogus"],
+         "unknown test 'bogus'"),
+        (["fx4.pres", "--away-from", "a", "--tests", "forest,forest", "--run-all"],
+         "test 'forest' is named twice"),
+        (["fx4.pres", "--tests", "free,"], "unknown test ''"),
+        (["fx4.pres", "--diagram", "missing.json"], "missing.json"),
+        (["fx4.pres", "--diagram", "fx1.pres"], "malformed diagram JSON"),
+    ])
+    def test_exits_three_before_any_test(self, argv, message, monkeypatch, capsys):
+        def refuse(*args, **kwargs):
+            raise AssertionError("run_check was called")
+
+        monkeypatch.setattr(cli, "run_check", refuse)
+        argv = [str(FIXTURES / a) if "." in a else a for a in argv]
+        assert main(["check", *argv]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == "" and message in captured.err
+
+    @pytest.mark.parametrize("tests", [("forest", "bogus"), ("forest", "forest")])
+    def test_config_refuses_unknown_and_repeated_tests(self, tests):
+        with pytest.raises(core.DdrError) as caught:
+            CheckConfig(tests=tests)
+        assert caught.value.code == "USAGE"
+
+
 class TestReportModel:
     def test_json_shape(self, fx4):
         report = run_check(fx4, frozenset(), CheckConfig(tests=("forest",)))
@@ -363,7 +418,7 @@ class TestSubsetFlags:
         assert main(["diagram", str(FIXTURES / "fx2_disc.json"), "--pres",
                      str(FIXTURES / "fx2.pres"), "--away-from", subset, "--json", str(out)]) == 3
         assert not out.exists()
-        with pytest.raises(core.PresentationError) as caught:
+        with pytest.raises(core.DdrError) as caught:
             run_check(fx2, frozenset(subset.split(",")))
         assert caught.value.code == code  # the same refusal as `ddr check`
         capsys.readouterr()
@@ -373,6 +428,7 @@ class TestSubsetFlags:
                      "--away-from", "zz"]) == 3
         err = capsys.readouterr().err
         assert "--all-directions" in err and "--away-from" in err
-        with pytest.raises(ValueError):
+        with pytest.raises(core.DdrError) as caught:
             run_check(genus2, {"x1"}, CheckConfig(all_directions=True))
+        assert caught.value.code == "USAGE"
         assert run_check(genus2, frozenset(), CheckConfig(all_directions=True)).certificates

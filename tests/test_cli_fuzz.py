@@ -4,7 +4,8 @@ Token-soup presentation, LOT and diagram files go through `ddr check`,
 `ddr lot` and `ddr diagram` with the cheap tests only, and argv soups are
 drawn from the real flags (never `-h`, which prints help and exits).  Every
 run must return an exit code in {0, 1, 2, 3} without raising; usage errors
-return 3.
+return 3.  Below `main`, the same runs may raise only a `DdrError` or an
+`OSError`.
 """
 
 import json
@@ -13,7 +14,9 @@ import random
 import pytest
 
 from conftest import FIXTURES
+from ddr import cli
 from ddr.cli import main
+from ddr.core import DdrError
 
 CHEAP = ["--tests", "free,onerel,forest"]
 NAMES = ["a", "b", "c", "x", "y1"]
@@ -105,9 +108,9 @@ def _subset(rng: random.Random) -> list[str]:
     return ["--away-from", rng.choice(["a", "a,b", "b,c", "a,b,c", "zz", "a,x"])]
 
 
-def test_token_soup_files(tmp_path, capsys):
+def token_soup_argvs(tmp_path):
+    """600 command lines over 150 token-soup files of each kind."""
     rng = random.Random(12)
-    codes = set()
     for k in range(150):
         pres = tmp_path / f"p{k}.pres"
         pres.write_text(soup_presentation(rng))
@@ -115,13 +118,17 @@ def test_token_soup_files(tmp_path, capsys):
         lot.write_text(soup_lot(rng))
         diagram = tmp_path / f"d{k}.json"
         diagram.write_text(soup_diagram(rng))
-        codes.add(_run(["check", pres, *CHEAP, *_subset(rng)]
-                       + (["--all-directions"] if rng.random() < 0.2 else [])))
-        codes.add(_run(["lot", lot] + (["--reorient"] if rng.random() < 0.5 else [])
-                       + (["--sublot", "T"] if rng.random() < 0.3 else [])))
+        yield (["check", pres, *CHEAP, *_subset(rng)]
+               + (["--all-directions"] if rng.random() < 0.2 else []))
+        yield (["lot", lot] + (["--reorient"] if rng.random() < 0.5 else [])
+               + (["--sublot", "T"] if rng.random() < 0.3 else []))
         real_pres = rng.choice([pres, FIXTURES / "fx2.pres"])
-        codes.add(_run(["diagram", diagram, "--pres", real_pres, *_subset(rng)]))
-        codes.add(_run(["check", real_pres, *CHEAP, "--diagram", diagram, *_subset(rng)]))
+        yield ["diagram", diagram, "--pres", real_pres, *_subset(rng)]
+        yield ["check", real_pres, *CHEAP, "--diagram", diagram, *_subset(rng)]
+
+
+def test_token_soup_files(tmp_path, capsys):
+    codes = {_run(argv) for argv in token_soup_argvs(tmp_path)}
     capsys.readouterr()
     assert codes == EXIT_CODES  # the soups reach every outcome
 
@@ -176,11 +183,14 @@ def soup_argv(rng: random.Random, tmp_path) -> list:
     return argv
 
 
-def test_argv_soup(tmp_path, capsys):
+def argv_soup(tmp_path):
     rng = random.Random(3)
+    return [soup_argv(rng, tmp_path) for _ in range(300)]
+
+
+def test_argv_soup(tmp_path, capsys):
     codes = set()
-    for _ in range(300):
-        argv = soup_argv(rng, tmp_path)
+    for argv in argv_soup(tmp_path):
         code = _run(argv)
         if capsys.readouterr().err.startswith("usage: ddr"):
             assert code == 3, argv
@@ -203,3 +213,53 @@ def test_usage_errors_exit_three(argv, capsys):
     assert _run(argv) == 3
     err = capsys.readouterr().err
     assert err.startswith("usage: ddr") and "error:" in err
+
+
+def _below_main(argv) -> int:
+    """A command line run without `main`'s catch."""
+    args = cli._parser().parse_args([str(a) for a in argv])
+    return args.func(args)
+
+
+def test_only_ddr_errors_and_os_errors_escape_below_main(tmp_path, capsys):
+    # anything else raised here would be an internal error, not an input fault
+    raised = 0
+    for argv in [*token_soup_argvs(tmp_path), *argv_soup(tmp_path)]:
+        try:
+            _below_main(argv)
+        except (DdrError, OSError):
+            raised += 1
+    capsys.readouterr()
+    assert raised > 100
+
+
+@pytest.mark.parametrize("fault, code", [
+    ("exponent", "SYNTAX"), ("json_number", "SYNTAX"), ("json_nesting", "SYNTAX"),
+    ("encoding", "ENCODING"), ("usage", "USAGE"), ("unknown_test", "USAGE"),
+    ("all_directions_subset", "USAGE"), ("unknown_sublot", "BAD_SUBLOT")])
+def test_input_faults_are_ddr_errors(fault, code, tmp_path, capsys):
+    digits = "9" * 5000  # past the interpreter's 4,300-digit limit for int()
+    (tmp_path / "exponent.pres").write_text(f"gens: a\nrel: a a^{digits}\n")
+    (tmp_path / "number.json").write_text(
+        f'{{"vertexCount": {digits}, "edges": [], "faces": []}}')
+    (tmp_path / "nested.json").write_text("[" * 100_000)  # RecursionError in json.loads
+    (tmp_path / "latin1.pres").write_bytes("gens: \xe4\nrel: \xe4\n".encode("latin-1"))
+    fx2 = FIXTURES / "fx2.pres"
+    argv = {
+        "exponent": ["check", tmp_path / "exponent.pres"],
+        "json_number": ["diagram", tmp_path / "number.json", "--pres", fx2],
+        "json_nesting": ["check", fx2, "--diagram", tmp_path / "nested.json"],
+        "encoding": ["check", tmp_path / "latin1.pres"],
+        "usage": ["check", fx2, "--bogus"],
+        "unknown_test": ["check", fx2, "--tests", "nope"],
+        "all_directions_subset": ["check", fx2, "--all-directions", "--away-from", "a"],
+        "unknown_sublot": ["lot", FIXTURES / "fxl2.lot", "--sublot", "nope"],
+    }[fault]
+    with pytest.raises(DdrError) as caught:
+        _below_main(argv)
+    assert caught.value.code == code
+    if fault == "exponent":
+        assert (caught.value.line, caught.value.column) == (2, 8)
+        assert "exponent of 'a' has 5000 digits" in str(caught.value)
+    assert _run(argv) == 3
+    capsys.readouterr()

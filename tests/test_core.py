@@ -3,14 +3,14 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from ddr import core
-from ddr.core import (CYCLIC, FREE, Letter, Presentation, PresentationError,
+from ddr.core import (CYCLIC, FREE, DdrError, Letter, Presentation,
                       free_edge_generators, inverse_word, is_cyclically_reduced,
                       normalize_word, parse_presentation, parse_word,
                       presentation_digest, serialize_presentation,
                       subpresentation, word_stats)
-from ddr.cayley import CayleyError, decide_finite
-from ddr.smallcancel import SmallCancellationError, certify_s44
-from ddr.weights import WeightAssignment, WeightError, search_weights, verify_weight_test
+from ddr.cayley import decide_finite
+from ddr.smallcancel import certify_s44
+from ddr.weights import WeightAssignment, search_weights, verify_weight_test
 
 W = parse_word
 
@@ -34,18 +34,19 @@ class TestParse:
         assert p.generators == ("a", "b")
 
     def test_syntax_error_position(self):
-        with pytest.raises(PresentationError) as exc:
+        with pytest.raises(DdrError) as exc:
             parse_presentation("gens: a\nrel: a $b")
+        assert exc.value.code == "SYNTAX"
         assert exc.value.line == 2
         assert exc.value.column == 8
 
     def test_undeclared_generator(self):
-        with pytest.raises(PresentationError) as exc:
+        with pytest.raises(DdrError) as exc:
             parse_presentation("gens: a\nrel: a b")
         assert exc.value.code == "UNDECLARED_GENERATOR"
 
     def test_undeclared_generator_column_after_exponent(self):
-        with pytest.raises(PresentationError) as exc:
+        with pytest.raises(DdrError) as exc:
             parse_presentation("gens: a\nrel: a^3 b^2 a")
         assert (exc.value.code, exc.value.line, exc.value.column) == ("UNDECLARED_GENERATOR", 2, 10)
         assert "undeclared generator 'b'" in str(exc.value)
@@ -53,27 +54,30 @@ class TestParse:
     def test_letter_cap_counts_exponents_across_relators(self, monkeypatch):
         monkeypatch.setattr(core, "MAX_RELATOR_LETTERS", 4)
         assert len(parse_presentation("gens: a b\nrel: a^2 b\nrel: a").relators[0]) == 3
-        with pytest.raises(PresentationError) as exc:
+        with pytest.raises(DdrError) as exc:
             parse_presentation("gens: a b\nrel: a^2 b\nrel: a b^-1")
         assert (exc.value.code, exc.value.line, exc.value.column) == ("TOO_MANY_LETTERS", 3, 8)
         assert "exceed 4 letters" in str(exc.value)
 
     def test_empty_relator_rejected(self):
-        with pytest.raises(PresentationError) as exc:
+        with pytest.raises(DdrError) as exc:
             parse_presentation("gens: a\nrel:")
         assert exc.value.code == "EMPTY_RELATOR"
 
     def test_zero_exponent_rejected(self):
-        with pytest.raises(PresentationError):
+        with pytest.raises(DdrError) as exc:
             parse_presentation("gens: a\nrel: a^0")
+        assert exc.value.code == "SYNTAX"
 
     def test_missing_gens(self):
-        with pytest.raises(PresentationError):
+        with pytest.raises(DdrError) as exc:
             parse_presentation("rel: a")
+        assert exc.value.code == "SYNTAX"
 
     def test_duplicate_generator(self):
-        with pytest.raises(PresentationError):
+        with pytest.raises(DdrError) as exc:
             parse_presentation("gens: a a\nrel: a")
+        assert exc.value.code == "DUPLICATE_GENERATOR"
 
     def test_serialize_no_compression(self, fx1):
         text = serialize_presentation(fx1)
@@ -135,8 +139,9 @@ class TestSubpresentation:
         assert sub.relators == ()
 
     def test_undeclared(self, fx1):
-        with pytest.raises(PresentationError):
+        with pytest.raises(DdrError) as exc:
             subpresentation(fx1, {"z"})
+        assert exc.value.code == "UNDECLARED_GENERATOR"
 
 
 class TestFreeEdges:
@@ -151,13 +156,12 @@ class TestFreeEdges:
         assert free_edge_generators(p) == {"a"}
 
 
-# entry point -> (call, the error type its module raises)
+# entry point -> call
 ENTRY_POINTS = {
-    "verify_weight_test": (lambda p, s: verify_weight_test(p, s, WeightAssignment({})),
-                           WeightError),
-    "search_weights": (search_weights, WeightError),
-    "certify_s44": (certify_s44, SmallCancellationError),
-    "decide_finite": (lambda p, s: decide_finite(p, s, 100), CayleyError),
+    "verify_weight_test": lambda p, s: verify_weight_test(p, s, WeightAssignment({})),
+    "search_weights": search_weights,
+    "certify_s44": certify_s44,
+    "decide_finite": lambda p, s: decide_finite(p, s, 100),
 }
 # code -> (presentation, subset) that has exactly that fault
 FAULTS = {
@@ -172,10 +176,9 @@ FAULTS = {
     (entry, code) for entry in ENTRY_POINTS for code in FAULTS
     if (entry, code) != ("decide_finite", "NOT_CYCLICALLY_REDUCED")])
 def test_precondition_codes(entry, code):
-    call, error = ENTRY_POINTS[entry]
     text, subset = FAULTS[code]
-    with pytest.raises(error) as exc:
-        call(parse_presentation(text), subset)
+    with pytest.raises(DdrError) as exc:
+        ENTRY_POINTS[entry](parse_presentation(text), subset)
     assert exc.value.code == code
 
 

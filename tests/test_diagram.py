@@ -1,3 +1,4 @@
+import json
 import random
 
 import pytest
@@ -5,8 +6,8 @@ import pytest
 from conftest import FIXTURES, random_presentation
 from ddr.cli import main
 from oracles import brute_folding_edges, vertex_count_from_links
-from ddr.core import free_edge_generators, parse_presentation
-from ddr.diagram import (BoundaryStep, DiagramEdge, DiagramError, DiagramFace,
+from ddr.core import DdrError, free_edge_generators, parse_presentation
+from ddr.diagram import (BoundaryStep, DiagramEdge, DiagramFace,
                          SurfaceDiagram, crossed_occurrence, directed_verdict,
                          diagram_to_json_dict, double_disc, dumps_diagram,
                          folding_edges, loads_diagram, matched_surface,
@@ -68,7 +69,7 @@ class TestValidate:
         assert report.euler_characteristic == 2
         assert report.pinched == (0, 1)
         assert not report.sphere and not report.disc and report.surface_genus is None
-        with pytest.raises(DiagramError, match=r"pinched at vertices \[0, 1\]") as exc:
+        with pytest.raises(DdrError, match=r"pinched at vertices \[0, 1\]") as exc:
             directed_verdict(pinched_torus_and_spheres(), p, {"c"})
         assert exc.value.code == "UNSUPPORTED_SURFACE"
 
@@ -272,7 +273,7 @@ class TestDirectedVerdict:
         assert verdict.verdict == "CONSISTENT"
 
     def test_disc_boundary_hypothesis(self, fx2, fx2_disc):
-        with pytest.raises(DiagramError) as exc:
+        with pytest.raises(DdrError) as exc:
             directed_verdict(fx2_disc, fx2, {"c"})
         assert exc.value.code == "HYPOTHESIS_NOT_MET"
 
@@ -281,7 +282,7 @@ class TestDirectedVerdict:
         face = DiagramFace(0, 1, (BoundaryStep(0, 1), BoundaryStep(1, 1),
                                   BoundaryStep(0, -1), BoundaryStep(1, -1)))
         torus = SurfaceDiagram(1, edges, (face,))
-        with pytest.raises(DiagramError) as exc:
+        with pytest.raises(DdrError) as exc:
             directed_verdict(torus, fx4, set())
         assert exc.value.code == "UNSUPPORTED_SURFACE"
 
@@ -368,8 +369,9 @@ class TestDouble:
 
     def test_not_a_disc_rejected(self):
         p = parse_presentation("gens: a b c\nrel: a b c")
-        with pytest.raises(DiagramError):
+        with pytest.raises(DdrError) as exc:
             double_disc(triangle_sphere(p))
+        assert exc.value.code == "NOT_A_DISC"
 
 
 class TestMatchedSurface:
@@ -396,14 +398,15 @@ class TestMatchedSurface:
         assert len(d.faces) == 2 and len(d.edges) == 2
 
     def test_free_edge_generator_rejected(self, fx1):
-        with pytest.raises(DiagramError) as exc:
+        with pytest.raises(DdrError) as exc:
             matched_surface(fx1, "c")
         assert exc.value.code == "FREE_EDGE_GENERATOR"
 
     def test_absent_generator_rejected(self):
         p = parse_presentation("gens: a b\nrel: a a")
-        with pytest.raises(DiagramError):
+        with pytest.raises(DdrError) as exc:
             matched_surface(p, "b")
+        assert exc.value.code == "ABSENT_GENERATOR"
 
     def test_euler_characteristic_from_links(self, fx1, fx4):
         for p, x in ((fx1, "a"), (fx1, "b"), (fx4, "a"), (fx4, "b")):
@@ -456,16 +459,34 @@ class TestJson:
         assert dumps_diagram(loads_diagram(dumps_diagram(d))) == dumps_diagram(d)
 
     def test_malformed_rejected(self):
-        with pytest.raises(DiagramError):
-            loads_diagram("{not json")
-        with pytest.raises(DiagramError):
-            loads_diagram("{\"vertexCount\": 1}")
+        # a label is a JSON string: null would read as the generator "None"
+        edge = '{{"vertexCount": 2, "edges": [{{"id": 0, "label": {}, "from": 0, "to": 1}}], ' \
+            '"faces": []}}'
+        for text in ("{not json", "{\"vertexCount\": 1}", *map(edge.format, ("null", "false", "5"))):
+            with pytest.raises(DdrError) as exc:
+                loads_diagram(text)
+            assert exc.value.code == "SYNTAX"
+        assert loads_diagram(edge.format('"a"')).edges[0].label == "a"
 
-    @pytest.mark.parametrize("count", ["1e400", "-1e400", "NaN", "\"four\""])
+    @pytest.mark.parametrize("count", ["1e400", "-1e400", "NaN", "\"four\"", "4.5", "true",
+                                       "\"2\""])
     def test_non_integer_vertex_count_is_a_syntax_error(self, count):
-        with pytest.raises(DiagramError) as exc:
+        with pytest.raises(DdrError) as exc:
             loads_diagram(f'{{"vertexCount": {count}, "edges": [], "faces": []}}')
         assert exc.value.code == "SYNTAX"
+        # the same value in every other integer field of the fixture disc
+        for field in [("edges", 0, "id"), ("edges", 0, "from"), ("edges", 0, "to"),
+                      ("faces", 1, "relator"), ("faces", 1, "sign"),
+                      ("faces", 1, "boundary", 2, "edge"), ("faces", 1, "boundary", 2, "dir"),
+                      ("boundaryCycles", 0, 1, "edge"), ("boundaryCycles", 0, 1, "dir")]:
+            obj = json.loads((FIXTURES / "fx2_disc.json").read_text())
+            holder = obj
+            for key in field[:-1]:
+                holder = holder[key]
+            holder[field[-1]] = "@"
+            with pytest.raises(DdrError) as exc:
+                loads_diagram(json.dumps(obj).replace('"@"', count))
+            assert exc.value.code == "SYNTAX", field
 
 
 def test_crossed_occurrence_convention():

@@ -7,10 +7,9 @@ import pytest
 from conftest import random_compressed_lot, random_lot
 from ddr import lot as lot_module
 from ddr.cli import main
-from ddr.core import parse_word, word_stats
-from ddr.lot import (LOT, LotEdge, LotError, certify_lot, collapse, lot_presentation,
-                     lot_properties, make_sublot, parse_lot, reorient_positive_tree,
-                     serialize_lot, sub_lots)
+from ddr.core import DdrError, parse_word, word_stats
+from ddr.lot import (LOT, LotEdge, certify_lot, collapse, lot_properties, make_sublot,
+                     parse_lot, reorient_positive_tree, serialize_lot, sub_lots)
 from ddr.pipeline import derive_consequences
 from ddr.whitehead import POSITIVE, GraphView, build_whitehead, is_forest
 from oracles import insert
@@ -26,12 +25,12 @@ def sublot_as_lot(t):
 
 class TestParse:
     def test_label_must_be_vertex(self):
-        with pytest.raises(LotError) as exc:
+        with pytest.raises(DdrError) as exc:
             parse_lot("edge x1 x2 x3")
         assert exc.value.code == "LABEL_NOT_A_VERTEX"
 
     def test_disconnected_rejected(self):
-        with pytest.raises(LotError) as exc:
+        with pytest.raises(DdrError) as exc:
             parse_lot("vertices: x1 x2 x3\nedge x1 x2 x3")
         assert exc.value.code == "NOT_A_TREE"
 
@@ -54,7 +53,7 @@ class TestParse:
         assert lot.vertices == ("a",) and lot.edges == ()
 
     def test_cycle_rejected(self):
-        with pytest.raises(LotError) as exc:
+        with pytest.raises(DdrError) as exc:
             parse_lot("edge a b a\nedge b c a\nedge c a b")
         assert exc.value.code == "NOT_A_TREE"
 
@@ -64,23 +63,23 @@ class TestPresentation:
         # source, then label, then inverse target, then inverse label
         lot = LOT(("a", "b", "c"),
                   (LotEdge("a", "b", "c"), LotEdge("b", "c", "a")))
-        p = lot_presentation(lot)
+        p = lot.presentation
         assert p.relators[0] == W("a c b^-1 c^-1")
         assert p.relators[1] == W("b a c^-1 a^-1")
 
     def test_label_equal_source(self):
-        p = lot_presentation(LOT(("a", "b"), (LotEdge("a", "b", "a"),)))
+        p = LOT(("a", "b"), (LotEdge("a", "b", "a"),)).presentation
         assert p.relators == (W("a a b^-1 a^-1"),)
 
     def test_fxl1_shape(self, fxl1_doc):
-        p = lot_presentation(fxl1_doc.lot)
+        p = fxl1_doc.lot.presentation
         assert len(p.generators) == 7 and len(p.relators) == 6
 
     def test_relator_invariants_random(self):
         rng = random.Random(2)
         for _ in range(100):
             lot = random_lot(rng)
-            p = lot_presentation(lot)
+            p = lot.presentation
             assert len(p.relators) == len(lot.vertices) - 1
             for r, edge in zip(p.relators, lot.edges):
                 stats = word_stats(r)
@@ -251,8 +250,9 @@ class TestCollapseInsert:
 
     def test_name_collision_rejected(self, fxl2_doc):
         lot, t = fxl2_doc.lot, fxl2_doc.sublots["T"]
-        with pytest.raises(LotError):
+        with pytest.raises(DdrError) as exc:
             collapse(lot, t, "u1")
+        assert exc.value.code == "NAME_COLLISION"
 
     def test_reused_name_allowed(self, fxl2_doc):
         lot, t = fxl2_doc.lot, fxl2_doc.sublots["T"]
@@ -276,7 +276,7 @@ class TestCollapseInsert:
     def test_insert_underspecified(self):
         bar = LOT(("y", "c"), (LotEdge("y", "c", "c"),))
         t = LOT(("q",), ())
-        with pytest.raises(LotError) as exc:
+        with pytest.raises(DdrError) as exc:
             insert(bar, "y", t, {}, {})
         assert exc.value.code == "ATTACHMENT_UNDERSPECIFIED"
 
@@ -333,7 +333,7 @@ class TestReorient:
     def test_single_edge(self):
         lot = LOT(("a", "b"), (LotEdge("a", "b", "b"),))
         out = reorient_positive_tree(lot)
-        g = build_whitehead(lot_presentation(out))
+        g = build_whitehead(out.presentation)
         assert is_forest(GraphView(g, POSITIVE)).forest
 
     def test_forced_flip_for_label_equal_source(self):
@@ -349,7 +349,7 @@ class TestReorient:
             assert {frozenset((e.source, e.target)) for e in out.edges} == \
                 {frozenset((e.source, e.target)) for e in lot.edges}
             assert [e.label for e in out.edges] == [e.label for e in lot.edges]
-            g = build_whitehead(lot_presentation(out))
+            g = build_whitehead(out.presentation)
             assert is_forest(GraphView(g, POSITIVE)).forest
 
     def test_agrees_with_networkx_up_to_sixty_vertices(self):
@@ -372,7 +372,7 @@ class TestCertify:
         assert cert.subset == ("x1", "x2", "x3", "x4", "x5")
         assert cert.evidence["test"] == "forest"
         assert cert.evidence["side"] == "positive"
-        consequences = derive_consequences(cert, lot_presentation(lot), t.vertex_subset, {})
+        consequences = derive_consequences(cert, lot.presentation, t.vertex_subset, {})
         assert cert.evidence["sublot_presentation_dr"]["method"] == "forest"
         assert any(c["kind"] == "aspherical" for c in consequences)
 

@@ -5,8 +5,8 @@ import pytest
 from conftest import random_presentation
 from oracles import (brute_min_pieces, brute_occurrences,
                      brute_reduced_cycles_of_length)
-from ddr.core import Presentation, inverse_word, parse_presentation, parse_word
-from ddr.smallcancel import (SmallCancellationError, check_small_cancellation,
+from ddr.core import DdrError, Presentation, inverse_word, parse_presentation, parse_word
+from ddr.smallcancel import (check_small_cancellation,
                              certify_s44, min_piece_decomposition, piece_table,
                              symmetrized_closure)
 from ddr.weights import verify_weight_test
@@ -33,7 +33,7 @@ class TestClosure:
 
     def test_requires_cyclically_reduced(self):
         p = parse_presentation("gens: a b\nrel: b a b^-1")
-        with pytest.raises(SmallCancellationError) as exc:
+        with pytest.raises(DdrError) as exc:
             symmetrized_closure(p)
         assert exc.value.code == "NOT_CYCLICALLY_REDUCED"
 
@@ -99,8 +99,7 @@ class TestConditions:
         assert count == 4
 
     def test_fxl1_c4t4(self, fxl1_doc):
-        from ddr.lot import lot_presentation
-        report = check_small_cancellation(lot_presentation(fxl1_doc.lot), 4, 4)
+        report = check_small_cancellation(fxl1_doc.lot.presentation, 4, 4)
         assert report.c_holds and report.t_holds
 
     def test_tq_matches_brute_force(self):
@@ -125,10 +124,10 @@ class TestConditions:
         assert checked >= 10
 
     def test_parameter_validation(self, fx4):
-        with pytest.raises(SmallCancellationError):
-            check_small_cancellation(fx4, 1, 4)
-        with pytest.raises(SmallCancellationError):
-            check_small_cancellation(fx4, 4, 2)
+        for p_val, q_val in ((1, 4), (4, 2)):
+            with pytest.raises(DdrError) as exc:
+                check_small_cancellation(fx4, p_val, q_val)
+            assert exc.value.code == "BAD_PARAMETERS"
 
 
 class TestCertify:
@@ -148,8 +147,7 @@ class TestCertify:
         assert again.passed
 
     def test_consecutive_letters_failure_matches_scan(self, fxl1_doc):
-        from ddr.lot import lot_presentation
-        p = lot_presentation(fxl1_doc.lot)
+        p = fxl1_doc.lot.presentation
         s = {"x1", "x3"}
         scan_hit = any(r[i].gen in s and r[(i + 1) % len(r)].gen in s
                        for r in p.relators for i in range(len(r)))
@@ -173,8 +171,9 @@ class TestCertify:
         assert "small cancellation" in cert.evidence["failed_hypothesis"]
 
     def test_improper_subset_rejected(self, fx4):
-        with pytest.raises(SmallCancellationError):
+        with pytest.raises(DdrError) as exc:
             certify_s44(fx4, {"a", "b"})
+        assert exc.value.code == "S_NOT_PROPER"
 
     def test_parallel_edges_weighted_one(self):
         # x y x y^-1 has a length-2 star cycle; its corners get weight 1

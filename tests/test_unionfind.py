@@ -6,8 +6,8 @@ import random
 import pytest
 
 from conftest import random_lot, random_presentation
-from ddr.core import UnionFind
-from ddr.diagram import (BoundaryStep, DiagramEdge, DiagramError, DiagramFace,
+from ddr.core import DdrError, UnionFind
+from ddr.diagram import (BoundaryStep, DiagramEdge, DiagramFace,
                          SurfaceDiagram, matched_surface, validate_diagram)
 
 nx = pytest.importorskip("networkx")
@@ -91,7 +91,7 @@ def test_diagram_connected_agrees_with_networkx():
         for _ in range(rng.randint(1, 3)):
             try:
                 parts.append(matched_surface(p, rng.choice(p.generators)))
-            except DiagramError:
+            except DdrError:
                 pass  # a generator that occurs once or not at all
         if not parts:
             continue

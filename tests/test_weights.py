@@ -8,9 +8,9 @@ import pytest
 from conftest import FIXTURES
 from ddr import weights
 from ddr.cli import main
-from ddr.core import parse_presentation, subpresentation
+from ddr.core import DdrError, parse_presentation, subpresentation
 from ddr.pipeline import CheckConfig, presentation_dr, run_check
-from ddr.weights import (SearchBudgetSpent, Tableau, WeightAssignment, WeightError, farkas_refutes,
+from ddr.weights import (SearchBudgetSpent, Tableau, WeightAssignment, farkas_refutes,
                          search_weights, solve_feasibility, verify_weight_test)
 from ddr.whitehead import build_whitehead, min_weight_reduced_cycle
 
@@ -56,26 +56,38 @@ class TestVerify:
 
     def test_not_cyclically_reduced_rejected(self):
         p = parse_presentation("gens: a b\nrel: b a a^-1 b")
-        with pytest.raises(WeightError) as exc:
+        with pytest.raises(DdrError) as exc:
             verify_weight_test(p, frozenset(), WeightAssignment({0: Fraction(1)}))
         assert exc.value.code == "NOT_CYCLICALLY_REDUCED"
 
     def test_improper_subset_rejected(self, fx4):
-        with pytest.raises(WeightError) as exc:
+        with pytest.raises(DdrError) as exc:
             verify_weight_test(fx4, {"a", "b"}, all_half(fx4))
         assert exc.value.code == "S_NOT_PROPER"
 
     def test_negative_weight_rejected(self, fx4):
         g = build_whitehead(fx4)
         w = WeightAssignment({e.id: Fraction(-1, 2) for e in g.edges})
-        with pytest.raises(WeightError) as exc:
+        with pytest.raises(DdrError) as exc:
             verify_weight_test(fx4, frozenset(), w)
         assert exc.value.code == "NEGATIVE_WEIGHT"
 
     def test_missing_domain_rejected(self, fx4):
-        with pytest.raises(WeightError) as exc:
+        with pytest.raises(DdrError) as exc:
             verify_weight_test(fx4, frozenset(), WeightAssignment({0: Fraction(1)}))
         assert exc.value.code == "BAD_DOMAIN"
+
+    def test_weights_for_edges_the_graph_lacks_rejected(self, fx4, tmp_path, capsys):
+        extra = WeightAssignment({**all_half(fx4).weights, 999: Fraction(5), -3: Fraction(1, 2)})
+        with pytest.raises(DdrError) as exc:
+            verify_weight_test(fx4, frozenset(), extra)
+        assert exc.value.code == "BAD_DOMAIN" and "[-3, 999]" in str(exc.value)
+        # on the command line the weight test is skipped, as for a missing edge
+        wfile = tmp_path / "w.txt"
+        wfile.write_text(extra.serialize())
+        assert main(["check", str(FIXTURES / "fx4.pres"), "--tests", "weight",
+                     "--weights", str(wfile)]) == 2
+        assert "test weight: skipped (BAD_DOMAIN: " in capsys.readouterr().out
 
     def test_no_reduced_cycle_makes_condition_three_vacuous(self):
         # the corner graph of <a,b | a b> has two edges and no reduced cycle
@@ -162,13 +174,28 @@ class TestSerialization:
         assert dict(again.weights) == dict(w.weights)
 
     def test_parse_errors(self):
-        with pytest.raises(WeightError):
-            WeightAssignment.parse("nope")
-        with pytest.raises(WeightError):
-            WeightAssignment.parse("w x 1/2")
-        with pytest.raises(WeightError, match="line 2") as exc:
+        for text in ("nope", "w x 1/2"):
+            with pytest.raises(DdrError) as exc:
+                WeightAssignment.parse(text)
+            assert exc.value.code == "SYNTAX"
+        with pytest.raises(DdrError, match="line 2") as exc:
             WeightAssignment.parse("w 0 1/2\nw 0 3")
         assert exc.value.code == "SYNTAX"
+
+    def test_only_fractions_and_integers_parse(self, tmp_path, capsys):
+        parsed = WeightAssignment.parse("w 0 3\nw 1 -1/2\nw 2 04/6")
+        assert dict(parsed.weights) == {0: 3, 1: Fraction(-1, 2), 2: Fraction(2, 3)}
+        # Fraction() takes exponent notation, and "1e10000000" alone took
+        # seconds to parse
+        for weight in ("1e10000000", "1e999999999", "1e3", "2.5", "1/2e3", "+1", "1_0", "\u0661"):
+            with pytest.raises(DdrError) as exc:
+                WeightAssignment.parse(f"w 0 {weight}")
+            assert exc.value.code == "SYNTAX", weight
+        wfile = tmp_path / "w.txt"
+        wfile.write_text("w 0 1e10000000\n")
+        assert main(["check", str(FIXTURES / "fx4.pres"), "--tests", "weight",
+                     "--weights", str(wfile)]) == 3
+        assert "line 1: expected 'w <edge> <p>/<q>'" in capsys.readouterr().err
 
 
 class TestSimplex:
