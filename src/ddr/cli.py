@@ -11,12 +11,13 @@ from __future__ import annotations
 
 import argparse
 import functools
+import os
 import sys
 from pathlib import Path
 
 from . import __version__
 from .certificates import UNKNOWN, Report
-from .core import DdrError, check_preconditions, parse_presentation, presentation_digest
+from .core import DdrError, check_preconditions, parse_presentation
 from .diagram import REFUTES, _folding_scan, directed_verdict, loads_diagram, validate_diagram
 from .lot import (certify_lot, lot_properties, parse_lot_document, reorient_positive_tree,
                   serialize_lot)
@@ -35,14 +36,26 @@ def _read(path: str) -> str:
 
 
 def _parse_subset(text: str | None) -> frozenset[str]:
-    if not text:
-        return frozenset()
-    return frozenset(x for x in text.replace(",", " ").split() if x)
+    return frozenset((text or "").replace(",", " ").split())
+
+
+def _report_path(path: str) -> str:
+    """The --json path, checked as the command line is parsed, before any
+    work: OSError when no report can be written there.  It makes no file."""
+    target = Path(path)
+    if target.exists():
+        writable = not target.is_dir() and os.access(target, os.W_OK)
+    else:
+        writable = target.parent.is_dir() and os.access(target.parent, os.W_OK)
+    if not writable:
+        raise OSError(f"cannot write the report to {path}")
+    return path
 
 
 def _print_report(report: Report, json_path: str | None) -> int:
     for attempt in report.attempts:
-        line = f"test {attempt['test']}: {attempt['status']}"
+        subset = " {" + ", ".join(attempt["subset"]) + "}" if "subset" in attempt else ""
+        line = f"test {attempt['test']}{subset}: {attempt['status']}"
         if attempt.get("reason"):
             line += f" ({attempt['reason']})"
         print(line)
@@ -78,6 +91,8 @@ def _cmd_check(args) -> int:
 
 def _cmd_lot(args) -> int:
     doc = parse_lot_document(_read(args.file))
+    if args.sublot and args.sublot not in doc.sublots:
+        raise DdrError(f"no sublot named {args.sublot!r} in the file", code="BAD_SUBLOT")
     lot = doc.lot
     props = lot_properties(lot)
     print(f"LOT: {len(lot.vertices)} vertices, {len(lot.edges)} edges, "
@@ -90,13 +105,11 @@ def _cmd_lot(args) -> int:
     report = Report(
         tool_version=__version__,
         input_description={"kind": "lot",
-                           "digest": lot.digest,
+                           "digest": lot.presentation.digest,
                            "vertices": list(lot.vertices)},
         config={"sublot": args.sublot, "reorient": args.reorient},
     )
     if args.sublot:
-        if args.sublot not in doc.sublots:
-            raise DdrError(f"no sublot named {args.sublot!r} in the file", code="BAD_SUBLOT")
         targets = [(args.sublot, doc.sublots[args.sublot])]
     else:
         targets = [(f"maximal-{i}", t) for i, t in enumerate(lot.maximal_sublots)]
@@ -138,7 +151,7 @@ def _cmd_diagram(args) -> int:
     if verdict.verdict == REFUTES:
         report = Report(
             tool_version=__version__,
-            input_description={"kind": "diagram", "presentation": presentation_digest(p)},
+            input_description={"kind": "diagram", "presentation": p.digest},
             config={"away_from": sorted(subset)},
             certificates=[diagram_refutation(p, subset, verdict)],
         )
@@ -171,7 +184,7 @@ def _parser() -> argparse.ArgumentParser:
     check.add_argument("--weights", default="", help="verify this weight file instead of searching")
     check.add_argument("--diagram", default="", help="also test a candidate refutation diagram")
     check.add_argument("--run-all", action="store_true", help="run every test, not first-win")
-    check.add_argument("--json", default="", help="write the JSON report here")
+    check.add_argument("--json", type=_report_path, help="write the JSON report here")
     check.set_defaults(func=_cmd_check)
 
     lot = sub.add_parser("lot", help="certify a labeled oriented tree")
@@ -179,14 +192,14 @@ def _parser() -> argparse.ArgumentParser:
     lot.add_argument("--sublot", default="", help="certify this named sub-LOT only")
     lot.add_argument("--reorient", action="store_true",
                      help="find a reorientation with a forest positive graph")
-    lot.add_argument("--json", default="")
+    lot.add_argument("--json", type=_report_path)
     lot.set_defaults(func=_cmd_lot)
 
     diag = sub.add_parser("diagram", help="validate a diagram and test it against a claim")
     diag.add_argument("file")
     diag.add_argument("--pres", required=True)
     diag.add_argument("--away-from", default="")
-    diag.add_argument("--json", default="")
+    diag.add_argument("--json", type=_report_path)
     diag.set_defaults(func=_cmd_diagram)
     return parser
 

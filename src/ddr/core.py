@@ -11,6 +11,7 @@ from __future__ import annotations
 import hashlib
 import re
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Mapping, Optional, Sequence
 
 FREE = "free"
@@ -114,7 +115,9 @@ class Presentation:
     """A finite presentation: ordered generators and an ordered relator list.
 
     Relators form a list, not a set: duplicates are legitimate and every
-    downstream object refers to relators by their position.
+    downstream object refers to relators by their position.  The digest,
+    Whitehead graph and unreduced relators every test reads are each built
+    once, on first use, and kept with the presentation.
     """
 
     generators: tuple[str, ...]
@@ -138,6 +141,18 @@ class Presentation:
     @property
     def generator_set(self) -> frozenset[str]:
         return frozenset(self.generators)
+
+    @cached_property
+    def digest(self) -> str:
+        return hashlib.sha256(serialize_presentation(self).encode("utf-8")).hexdigest()
+
+    @cached_property
+    def whitehead(self) -> _whitehead.WhiteheadGraph:
+        return _whitehead.build_whitehead(self)
+
+    @cached_property
+    def unreduced_relators(self) -> tuple[int, ...]:
+        return tuple(i for i, r in enumerate(self.relators) if not is_cyclically_reduced(r))
 
 
 @dataclass(frozen=True)
@@ -209,11 +224,9 @@ def check_preconditions(p: Presentation, subset=None, *,
                            code="UNDECLARED_GENERATOR")
         if s == p.generator_set:
             raise DdrError("the directed-away subset must be proper", code="S_NOT_PROPER")
-    if cyclically_reduced:
-        bad = [i for i, r in enumerate(p.relators) if not is_cyclically_reduced(r)]
-        if bad:
-            raise DdrError(f"relators {bad} are not cyclically reduced",
-                           code="NOT_CYCLICALLY_REDUCED")
+    if cyclically_reduced and p.unreduced_relators:
+        raise DdrError(f"relators {list(p.unreduced_relators)} are not cyclically reduced",
+                       code="NOT_CYCLICALLY_REDUCED")
     return s
 
 
@@ -354,5 +367,6 @@ def serialize_presentation(p: Presentation) -> str:
     return "\n".join(lines) + "\n"
 
 
-def presentation_digest(p: Presentation) -> str:
-    return hashlib.sha256(serialize_presentation(p).encode("utf-8")).hexdigest()
+# last, since `whitehead` imports this module; bound once, so that the
+# property reads the same module as the rest of ddr
+from . import whitehead as _whitehead  # noqa: E402

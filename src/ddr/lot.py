@@ -21,11 +21,10 @@ from functools import cached_property
 from typing import Mapping
 
 from .certificates import CERTIFIED_DR_AWAY_FROM, UNKNOWN, Certificate
-from .core import DdrError, Letter, Presentation, UnionFind, presentation_digest
+from .core import DdrError, Letter, Presentation, UnionFind
 # search_weights is unused here; bench/test_harness.py checks its tracer rebinds it
 from .weights import search_weights
-from .whitehead import (NEGATIVE, POSITIVE, GraphView, build_whitehead, is_forest,
-                        reduced_girth)
+from .whitehead import NEGATIVE, POSITIVE, GraphView, is_forest, reduced_girth
 
 _NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*\Z")
 
@@ -67,14 +66,10 @@ class LOT:
     @cached_property
     def presentation(self) -> Presentation:
         """One relator u1 u3 u2^-1 u3^-1 per edge, in edge order; kept with
-        the LOT, like its digest, so a command builds it once."""
+        the LOT, so a command builds it, its digest and its graph once."""
         return Presentation(self.vertices, tuple(
             (Letter(e.source, 1), Letter(e.label, 1), Letter(e.target, -1), Letter(e.label, -1))
             for e in self.edges))
-
-    @cached_property
-    def digest(self) -> str:
-        return presentation_digest(self.presentation)
 
     @cached_property
     def source_sides(self) -> tuple[frozenset[str], ...]:
@@ -375,8 +370,7 @@ def reorient_positive_tree(lot: LOT) -> LOT:
     candidate = LOT(lot.vertices, tuple(
         e if s == e.source else LotEdge(e.target, e.source, e.label)
         for e, s in zip(lot.edges, sources)))
-    graph = build_whitehead(candidate.presentation)
-    if not is_forest(GraphView(graph, POSITIVE)).forest:
+    if not is_forest(GraphView(candidate.presentation.whitehead, POSITIVE)).forest:
         raise AssertionError("leaf peeling produced a positive graph with a cycle")
     return candidate
 
@@ -401,13 +395,11 @@ def certify_lot(lot: LOT, t: SubLot) -> Certificate:
     them, asphericity included when the sub-LOT's own presentation passes
     the reducibility ladder.
     """
-    digest = lot.digest
-    s = tuple(sorted(t.vertex_subset))
+    digest, s = lot.presentation.digest, tuple(sorted(t.vertex_subset))
 
     def failure(reason: str, **extra) -> Certificate:
-        evidence = {"failed_hypothesis": reason}
-        evidence.update(extra)
-        return Certificate(digest, s, UNKNOWN, "lot_collapse", evidence=evidence)
+        return Certificate(digest, s, UNKNOWN, "lot_collapse",
+                           evidence={"failed_hypothesis": reason, **extra})
 
     if t.parent != lot:
         raise DdrError("sub-LOT does not belong to this LOT", code="BAD_SUBLOT")
@@ -427,7 +419,7 @@ def certify_lot(lot: LOT, t: SubLot) -> Certificate:
     if not lot_properties(collapsed).compressed:
         return failure("the collapsed LOT is not compressed",
                        collapsed=serialize_lot(collapsed))
-    graph = build_whitehead(collapsed.presentation)
+    graph = collapsed.presentation.whitehead
     forest_pos = is_forest(GraphView(graph, POSITIVE))
     forest_neg = is_forest(GraphView(graph, NEGATIVE))
     girth = reduced_girth(graph)

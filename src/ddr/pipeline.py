@@ -5,7 +5,7 @@ reducibility ladder.
 shortcut, the one-relator criterion, the forest test, the
 small-cancellation certificate, the weight search, and finally the
 finite-group decision.  Every test has the signature
-`(p, s, digest, config) -> (Certificate | None, attempt)`.  The first
+`(p, s, config) -> (Certificate | None, attempt)`.  The first
 conclusive answer wins unless run_all is set; failures stay visible in the
 report's attempt list, and UNKNOWN is an honest verdict.
 
@@ -27,12 +27,11 @@ from .certificates import (CERTIFIED_DR_ALL_DIRECTIONS, CERTIFIED_DR_AWAY_FROM,
                            DECIDED_DR, DECIDED_NOT_DR, REFUTED, Certificate, Report)
 from .cayley import check_coset_limit, decide_finite
 from .core import (DdrError, Presentation, check_preconditions, free_edge_generators,
-                   is_cyclically_reduced, presentation_digest, subpresentation,
-                   word_stats, word_support)
+                   subpresentation, word_stats, word_support)
 from .diagram import REFUTES, DirectedVerdict, SurfaceDiagram, directed_verdict
 from .smallcancel import certify_s44
 from .weights import SearchBudgetSpent, WeightAssignment, search_weights, verify_weight_test
-from .whitehead import NEGATIVE, POSITIVE, GraphView, build_whitehead, is_forest
+from .whitehead import NEGATIVE, POSITIVE, GraphView, is_forest
 
 
 def _attempt(name: str, status: str, reason: str | None = None) -> dict:
@@ -42,7 +41,7 @@ def _attempt(name: str, status: str, reason: str | None = None) -> dict:
     return out
 
 
-def _free_edge_test(p: Presentation, s: frozenset[str], digest: str, config: CheckConfig):
+def _free_edge_test(p: Presentation, s: frozenset[str], config: CheckConfig):
     """Shortcut: if every relator not carried by the subset contains a
     generator outside the subset occurring exactly once in the whole
     presentation, any diagram edge outside the subset forces a folding edge
@@ -58,29 +57,29 @@ def _free_edge_test(p: Presentation, s: frozenset[str], digest: str, config: Che
             return None, _attempt("free", "unknown",
                                   f"relator {idx} has no free-edge generator outside the subset")
         chosen[idx] = witness
-    cert = Certificate(digest, tuple(sorted(s)), CERTIFIED_DR_AWAY_FROM, "free",
+    cert = Certificate(p.digest, tuple(sorted(s)), CERTIFIED_DR_AWAY_FROM, "free",
                        evidence={"free_edge_per_relator": {str(k): v for k, v in
                                                            sorted(chosen.items())}})
     return cert, _attempt("free", "certified")
 
 
-def _one_relator_test(p: Presentation, s, digest: str, config: CheckConfig):
+def _one_relator_test(p: Presentation, s, config: CheckConfig):
     if len(p.relators) != 1:
         return None, _attempt("onerel", "unknown", "not a one-relator presentation")
     rel = p.relators[0]
     if not rel:
         return None, _attempt("onerel", "unknown", "empty relator")
-    if not is_cyclically_reduced(rel):
+    if p.unreduced_relators:
         return None, _attempt("onerel", "unknown", "relator is not cyclically reduced")
     period = word_stats(rel).proper_power_period
     if period is not None:
         return None, _attempt("onerel", "unknown", f"relator is a proper power (period {period})")
-    cert = Certificate(digest, None, CERTIFIED_DR_ALL_DIRECTIONS, "onerel",
+    cert = Certificate(p.digest, None, CERTIFIED_DR_ALL_DIRECTIONS, "onerel",
                        evidence={"relator_length": len(rel), "proper_power": False})
     return cert, _attempt("onerel", "certified")
 
 
-def _forest_test(p: Presentation, s: frozenset[str], digest: str, config: CheckConfig):
+def _forest_test(p: Presentation, s: frozenset[str], config: CheckConfig):
     """Exponent-sum-zero relators with a forest positive or negative graph:
     reducibility directed away from each single generator, and plain
     reducibility for the empty subset."""
@@ -89,22 +88,21 @@ def _forest_test(p: Presentation, s: frozenset[str], digest: str, config: CheckC
     sums = [word_stats(r).total_exponent_sum for r in p.relators]
     if any(v != 0 for v in sums):
         return None, _attempt("forest", "unknown", "some relator has nonzero exponent sum")
-    if not all(is_cyclically_reduced(r) for r in p.relators):
+    if p.unreduced_relators:
         return None, _attempt("forest", "unknown", "relators not cyclically reduced")
     if len(s) > 1:
         return None, _attempt("forest", "unknown",
                               "conclusion covers the empty set and single generators only")
-    graph = build_whitehead(p)
     side = next((mode for mode in (POSITIVE, NEGATIVE)
-                 if is_forest(GraphView(graph, mode)).forest), None)
+                 if is_forest(GraphView(p.whitehead, mode)).forest), None)
     if side is None:
         return None, _attempt("forest", "unknown", "neither side of the graph is a forest")
-    cert = Certificate(digest, tuple(sorted(s)), CERTIFIED_DR_AWAY_FROM, "forest",
+    cert = Certificate(p.digest, tuple(sorted(s)), CERTIFIED_DR_AWAY_FROM, "forest",
                        evidence={"side": side, "exponent_sums": sums})
     return cert, _attempt("forest", "certified")
 
 
-def _s44_test(p: Presentation, s: frozenset[str], digest: str, config: CheckConfig):
+def _s44_test(p: Presentation, s: frozenset[str], config: CheckConfig):
     try:
         cert = certify_s44(p, s)
     except DdrError as exc:
@@ -114,7 +112,7 @@ def _s44_test(p: Presentation, s: frozenset[str], digest: str, config: CheckConf
     return None, _attempt("s44", "unknown", cert.evidence.get("failed_hypothesis"))
 
 
-def _weight_test(p: Presentation, s: frozenset[str], digest: str, config: CheckConfig):
+def _weight_test(p: Presentation, s: frozenset[str], config: CheckConfig):
     try:
         if config.weights is None:
             source, wcert = "search", search_weights(p, s)
@@ -131,12 +129,12 @@ def _weight_test(p: Presentation, s: frozenset[str], digest: str, config: CheckC
     if not wcert.passed:
         failed = [r.condition for r in wcert.reports if not r.passed]
         return None, _attempt("weight", "unknown", f"supplied weights fail conditions {failed}")
-    cert = Certificate(digest, tuple(sorted(s)), CERTIFIED_DR_AWAY_FROM, "weight",
+    cert = Certificate(p.digest, tuple(sorted(s)), CERTIFIED_DR_AWAY_FROM, "weight",
                        evidence={"weights": wcert.to_json_dict(), "source": source})
     return cert, _attempt("weight", "certified")
 
 
-def _finite_test(p: Presentation, s: frozenset[str], digest: str, config: CheckConfig):
+def _finite_test(p: Presentation, s: frozenset[str], config: CheckConfig):
     try:
         decision = decide_finite(p, s, config.coset_limit)
     except DdrError as exc:
@@ -148,7 +146,7 @@ def _finite_test(p: Presentation, s: frozenset[str], digest: str, config: CheckC
             attempt["evidence"] = decision.proof.to_json_dict()
         return None, attempt
     verdict = DECIDED_DR if decision.verdict == "DECIDED_DR" else DECIDED_NOT_DR
-    cert = Certificate(digest, tuple(sorted(s)), verdict, "finite",
+    cert = Certificate(p.digest, tuple(sorted(s)), verdict, "finite",
                        evidence={"group_order": decision.table.element_count,
                                  "collapse": decision.log.to_json_dict()})
     if verdict == DECIDED_DR:
@@ -195,14 +193,13 @@ def presentation_dr(p: Presentation) -> dict | None:
     if not p.relators:
         return {"method": "no_relators",
                 "detail": "no 2-cells, reducibility is vacuous"}
-    digest, config = presentation_digest(p), CheckConfig()
     # each test, and the part of its certificate's evidence the ladder reports
     for name, brief in (
             ("forest", lambda ev: {"side": ev["side"]}),
             ("s44", lambda ev: {"case": ev["case"]}),
             ("weight", lambda ev: {"weights": {k: str(Fraction(v)) for k, v
                                                in ev["weights"]["weights"].items()}})):
-        cert, _ = TESTS[name](p, frozenset(), digest, config)
+        cert, _ = TESTS[name](p, frozenset(), CheckConfig())
         if cert is not None:
             return {"method": name, **brief(cert.evidence)}
     return None
@@ -274,10 +271,9 @@ def derive_consequences(cert: Certificate, p: Presentation, s: frozenset[str],
 def run_check(p: Presentation, subset=frozenset(), config: CheckConfig | None = None,
               ) -> Report:
     config = config or CheckConfig()
-    digest = presentation_digest(p)
     report = Report(
         tool_version=__version__,
-        input_description={"kind": "presentation", "digest": digest,
+        input_description={"kind": "presentation", "digest": p.digest,
                            "generators": list(p.generators),
                            "relator_count": len(p.relators)},
         config={"tests": list(config.tests), "coset_limit": config.coset_limit,
@@ -286,11 +282,11 @@ def run_check(p: Presentation, subset=frozenset(), config: CheckConfig | None = 
     if config.all_directions:
         if subset:
             raise DdrError("--all-directions and --away-from exclude each other", code="USAGE")
-        return _run_all_directions(p, config, digest, report)
+        return _run_all_directions(p, config, report)
     s = check_preconditions(p, subset, cyclically_reduced=False)
     carried: dict = {}
     for name in config.tests:
-        cert, attempt = TESTS[name](p, s, digest, config)
+        cert, attempt = TESTS[name](p, s, config)
         report.attempts.append(attempt)
         if cert is not None:
             if cert.positive:
@@ -301,11 +297,10 @@ def run_check(p: Presentation, subset=frozenset(), config: CheckConfig | None = 
     return report
 
 
-def _run_all_directions(p: Presentation, config: CheckConfig, digest: str,
-                        report: Report) -> Report:
+def _run_all_directions(p: Presentation, config: CheckConfig, report: Report) -> Report:
     carried: dict = {}
     if "onerel" in config.tests:
-        cert, attempt = _one_relator_test(p, None, digest, config)
+        cert, attempt = _one_relator_test(p, None, config)
         report.attempts.append(attempt)
         if cert is not None:
             cert.consequences = derive_consequences(cert, p, frozenset(), carried)
@@ -315,7 +310,7 @@ def _run_all_directions(p: Presentation, config: CheckConfig, digest: str,
     singles = [frozenset({g}) for g in p.generators]
     if "forest" in config.tests and singles:
         # the forest test's outcome is the same for every subset of size <= 1
-        cert, attempt = _forest_test(p, frozenset(), digest, config)
+        cert, attempt = _forest_test(p, frozenset(), config)
         if cert is None:
             report.attempts.append(attempt)
         else:
@@ -342,7 +337,7 @@ def _run_all_directions(p: Presentation, config: CheckConfig, digest: str,
 
 def diagram_refutation(p: Presentation, subset, verdict: DirectedVerdict) -> Certificate:
     """The REFUTED certificate of a diagram whose directed verdict is REFUTES."""
-    return Certificate(presentation_digest(p), tuple(sorted(subset)), REFUTED, "diagram",
+    return Certificate(p.digest, tuple(sorted(subset)), REFUTED, "diagram",
                        evidence={"mode": verdict.mode,
                                  "outside_edges": list(verdict.outside_edges)})
 

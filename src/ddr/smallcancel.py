@@ -19,9 +19,9 @@ from fractions import Fraction
 from typing import Optional
 
 from .certificates import CERTIFIED_DR_AWAY_FROM, UNKNOWN, Certificate
-from .core import (DdrError, Presentation, Word, check_preconditions, inverse_word,
-                   presentation_digest, rotate_word)
+from .core import DdrError, Presentation, Word, check_preconditions, inverse_word, rotate_word
 from .weights import WeightAssignment, verify_weight_test
+# build_whitehead is unused here; bench/test_harness.py checks its tracer rebinds it
 from .whitehead import build_whitehead, shortest_reduced_cycle_in_range
 
 T_Q_CONVENTION = ("T(q) checked on the star graph as: no reduced cycle of length L "
@@ -151,7 +151,7 @@ def check_small_cancellation(p: Presentation, p_val: int, q_val: int) -> SmallCa
         raise DdrError("need p >= 2 and q >= 3", code="BAD_PARAMETERS")
     table = piece_table(p)
     c_witness = next((w for w in _piece_products(table) if w[1] < p_val), None)
-    t_witness = shortest_reduced_cycle_in_range(build_whitehead(p), 3, q_val)
+    t_witness = shortest_reduced_cycle_in_range(p.whitehead, 3, q_val)
     return SmallCancellationReport(p_val, q_val, c_witness is None, t_witness is None,
                                    c_witness, t_witness)
 
@@ -176,7 +176,11 @@ def certify_s44(p: Presentation, subset) -> Certificate:
     exact weight-test checker; the verified weight certificate is embedded.
     """
     s = check_preconditions(p, subset)
-    digest = presentation_digest(p)
+
+    def certificate(verdict: str, **evidence) -> Certificate:
+        return Certificate(p.digest, tuple(sorted(s)), verdict, "s44", evidence=evidence,
+                           notes=(T_Q_CONVENTION,))
+
     # one pass decides C(4) and C(6): fewer than 4 pieces is also fewer than 6
     table = piece_table(p)
     c4_witness, c6_holds = None, True
@@ -186,32 +190,23 @@ def certify_s44(p: Presentation, subset) -> Certificate:
         if witness[1] < 4:
             c4_witness = witness
             break
-    graph = build_whitehead(p)
+    graph = p.whitehead
     t4_witness = shortest_reduced_cycle_in_range(graph, 3, 4)
     if c4_witness is None and t4_witness is None:
         case = "c4t4"
     elif c6_holds:
         case = "c6t3"  # T(3) is vacuous: no length L has 3 <= L < 3
     else:
-        return Certificate(
-            digest, tuple(sorted(s)), UNKNOWN, "s44",
-            evidence={
-                "failed_hypothesis": "small cancellation: neither C(4),T(4) nor C(6),T(3)",
-                "c4_witness": _json_c_witness(c4_witness),
-                "t4_witness": list(t4_witness) if t4_witness else None,
-            },
-            notes=(T_Q_CONVENTION,))
+        return certificate(
+            UNKNOWN, failed_hypothesis="small cancellation: neither C(4),T(4) nor C(6),T(3)",
+            c4_witness=_json_c_witness(c4_witness),
+            t4_witness=list(t4_witness) if t4_witness else None)
 
     adjacent = _consecutive_subset_letters(p, s)
     if adjacent is not None:
-        return Certificate(
-            digest, tuple(sorted(s)), UNKNOWN, "s44",
-            evidence={
-                "failed_hypothesis": "consecutive letters from the subset in a relator",
-                "witness": {"relator": adjacent[0], "position": adjacent[1]},
-                "case": case,
-            },
-            notes=(T_Q_CONVENTION,))
+        return certificate(
+            UNKNOWN, failed_hypothesis="consecutive letters from the subset in a relator",
+            witness={"relator": adjacent[0], "position": adjacent[1]}, case=case)
 
     by_endpoints: dict[frozenset, list[int]] = {}
     for e in graph.edges:
@@ -221,20 +216,13 @@ def certify_s44(p: Presentation, subset) -> Certificate:
     for e in graph.edges:
         parallel = len(by_endpoints[frozenset((e.a, e.b))]) > 1
         weights[e.id] = Fraction(1) if parallel else light
-    assignment = WeightAssignment(weights)
-    cert = verify_weight_test(p, s, assignment, graph)
+    cert = verify_weight_test(p, s, WeightAssignment(weights))
     if not cert.passed:
         raise DdrError(
             "constructed weights failed the exact weight-test verifier; "
             "the T(q) operationalization and this input disagree",
             code="WEIGHT_CROSS_CHECK_FAILED")
-    return Certificate(
-        digest, tuple(sorted(s)), CERTIFIED_DR_AWAY_FROM, "s44",
-        evidence={
-            "case": case,
-            "weights": cert.to_json_dict(),
-        },
-        notes=(T_Q_CONVENTION,))
+    return certificate(CERTIFIED_DR_AWAY_FROM, case=case, weights=cert.to_json_dict())
 
 
 def _json_c_witness(witness):

@@ -38,8 +38,7 @@ from fractions import Fraction
 from typing import Mapping, Optional
 
 from .core import DdrError, Presentation, check_preconditions
-from .whitehead import (WhiteheadGraph, build_whitehead, min_weight_reduced_cycle,
-                        reduced_cycles_below)
+from .whitehead import WhiteheadGraph, min_weight_reduced_cycle, reduced_cycles_below
 
 
 # a linear row: coefficients by variable, "<=" or ">=", right-hand side
@@ -146,14 +145,12 @@ def _json_witness(w):
     return str(w)
 
 
-def verify_weight_test(p: Presentation, subset, assignment: WeightAssignment,
-                       graph: WhiteheadGraph | None = None) -> WeightCertificate:
+def verify_weight_test(p: Presentation, subset, assignment: WeightAssignment) -> WeightCertificate:
     """Check the four weight-test conditions exactly; every condition is
     evaluated even after an earlier one fails, so the certificate carries a
     complete picture."""
     s = check_preconditions(p, subset)
-    if graph is None:
-        graph = build_whitehead(p)
+    graph = p.whitehead
     assignment.check_against(graph)
     w = {e.id: Fraction(assignment.weights[e.id]) for e in graph.edges}
 
@@ -200,7 +197,7 @@ def search_weights(p: Presentation, subset) -> Optional[WeightCertificate]:
     after `MAX_SEARCH_ROUNDS` rounds.
     """
     s = check_preconditions(p, subset)
-    graph = build_whitehead(p)
+    graph = p.whitehead
     # per edge its lower bound 0, 1/2 or 1; the tableau solves for y = w - lower
     lower = {e.id: Fraction((e.a.gen in s) + (e.b.gen in s), 2) for e in graph.edges}
     tableau = Tableau(len(graph.edges))
@@ -226,7 +223,7 @@ def search_weights(p: Presentation, subset) -> Optional[WeightCertificate]:
         weights = current()
         cycles = sorted(reduced_cycles_below(graph, weights, 2), key=lambda c: c.weight)
         if not cycles:
-            cert = verify_weight_test(p, s, WeightAssignment(weights), graph)
+            cert = verify_weight_test(p, s, WeightAssignment(weights))
             if not cert.passed:
                 raise AssertionError("search produced an assignment the verifier rejects")
             return cert

@@ -101,12 +101,16 @@ def _count_calls(monkeypatch, counts: Counter, module, name: str, *also) -> None
         monkeypatch.setattr(m, name, counted)
 
 
+def _refuse(*args, **kwargs):
+    raise AssertionError("work started")
+
+
 class TestWorkDoneOnce:
     def test_s44_builds_one_piece_table_and_one_graph(self, monkeypatch, capsys):
         counts = Counter()
         _count_calls(monkeypatch, counts, pipeline, "certify_s44")
-        for name in ("piece_table", "build_whitehead"):
-            _count_calls(monkeypatch, counts, smallcancel, name)
+        _count_calls(monkeypatch, counts, smallcancel, "piece_table")
+        _count_calls(monkeypatch, counts, whitehead, "build_whitehead")
         assert main(["check", str(FIXTURES / "fx1.pres")]) == 1
         assert counts == {"certify_s44": 1, "piece_table": 1, "build_whitehead": 1}
         capsys.readouterr()
@@ -131,12 +135,21 @@ class TestWorkDoneOnce:
     def test_all_directions_runs_the_forest_test_once(self, monkeypatch, capsys):
         # one forest run serves every single generator
         counts = Counter()
-        _count_calls(monkeypatch, counts, whitehead, "build_whitehead",
-                     pipeline, smallcancel, weights)
+        _count_calls(monkeypatch, counts, whitehead, "build_whitehead")
         assert main(["check", str(FIXTURES / "fx4.pres"), "--all-directions",
                      "--tests", "forest"]) == 0
         assert counts == {"build_whitehead": 1}
         assert capsys.readouterr().out.count("CERTIFIED_DR_AWAY_FROM [forest]") == 2
+
+    def test_all_directions_analyses_the_presentation_once(self, monkeypatch, capsys):
+        # every per-generator run reads the graph and digest the parsed
+        # presentation keeps
+        counts = Counter()
+        _count_calls(monkeypatch, counts, whitehead, "build_whitehead")
+        _count_calls(monkeypatch, counts, core, "serialize_presentation")
+        assert main(["check", str(FIXTURES / "fx3.pres"), "--all-directions"]) == 0
+        assert counts == {"build_whitehead": 1, "serialize_presentation": 1}
+        capsys.readouterr()
 
     def test_lot_never_enumerates_the_sub_lot_lattice(self, monkeypatch, capsys):
         # the maximal sub-LOTs come from leaf-edge fixpoints, for the targets
@@ -184,7 +197,7 @@ class TestWorkDoneOnce:
 
     def test_weight_search_is_verified_once(self, monkeypatch, capsys):
         counts = Counter()
-        _count_calls(monkeypatch, counts, weights, "build_whitehead", pipeline, smallcancel)
+        _count_calls(monkeypatch, counts, whitehead, "build_whitehead")
         _count_calls(monkeypatch, counts, weights, "verify_weight_test", pipeline)
         assert main(["check", str(FIXTURES / "fx3.pres"), "--away-from", "x1,x2",
                      "--tests", "weight"]) == 0
@@ -359,8 +372,50 @@ class TestCommandLine:
             "test forest: unknown (some relator has nonzero exponent sum)",
             "UNKNOWN: no test was conclusive"]
 
-    def test_unknown_sublot_name(self, capsys):
-        assert main(["lot", str(FIXTURES / "fxl2.lot"), "--sublot", "Q"]) == 3
+    def test_unknown_sublot_name(self, monkeypatch, capsys):
+        # looked up before the LOT summary and the reorientation are printed
+        monkeypatch.setattr(cli, "reorient_positive_tree", _refuse)
+        assert main(["lot", str(FIXTURES / "fxl2.lot"), "--reorient", "--sublot", "Q"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == "" and "no sublot named 'Q'" in captured.err
+
+    def test_fallback_attempts_name_their_subset(self, tmp_path, capsys):
+        pres = tmp_path / "free2.pres"
+        pres.write_text("gens: a b\n")
+        assert main(["check", str(pres), "--all-directions"]) == 0
+        assert capsys.readouterr().out.splitlines()[:4] == [
+            "test onerel: unknown (not a one-relator presentation)",
+            "test forest: unknown (no relators)",
+            "test free {a}: certified",
+            "test free {b}: certified"]
+
+
+class TestReportPathBeforeAnyWork:
+    """An unwritable --json path stops a command before it computes or
+    prints anything, and the check makes no file."""
+
+    @pytest.mark.parametrize("argv", [
+        ["check", "fx1.pres", "--away-from", "a,b"],
+        ["lot", "fxl2.lot", "--reorient"],
+        ["diagram", "fx2_disc.json", "--pres", "fx2.pres", "--away-from", "a,b"],
+    ])
+    def test_unwritable_report_path(self, argv, monkeypatch, tmp_path, capsys):
+        for name in ("run_check", "reorient_positive_tree", "certify_lot", "validate_diagram"):
+            monkeypatch.setattr(cli, name, _refuse)
+        argv = [str(FIXTURES / a) if "." in a else a for a in argv]
+        assert main([*argv, "--json", str(tmp_path / "missing" / "r.json")]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == "" and "cannot write the report" in captured.err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_report_path_check_leaves_no_file(self, tmp_path, capsys):
+        # an input fault after the check: no new report, an old one untouched
+        new, old = tmp_path / "new.json", tmp_path / "old.json"
+        old.write_text("kept")
+        for report in (new, old):
+            assert main(["check", str(FIXTURES / "fx1.pres"), "--diagram",
+                         str(tmp_path / "none.json"), "--json", str(report)]) == 3
+        assert not new.exists() and old.read_text() == "kept"
         capsys.readouterr()
 
 

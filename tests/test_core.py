@@ -6,8 +6,7 @@ from ddr import core
 from ddr.core import (CYCLIC, FREE, DdrError, Letter, Presentation,
                       free_edge_generators, inverse_word, is_cyclically_reduced,
                       normalize_word, parse_presentation, parse_word,
-                      presentation_digest, serialize_presentation,
-                      subpresentation, word_stats)
+                      serialize_presentation, subpresentation, word_stats)
 from ddr.cayley import decide_finite
 from ddr.smallcancel import certify_s44
 from ddr.weights import WeightAssignment, search_weights, verify_weight_test
@@ -204,12 +203,21 @@ def test_support_and_occurrences(w):
     assert sum(s.occurrence_count.values()) == len(w)
 
 
+def test_presentation_keeps_its_analysis():
+    text = "gens: a b\nrel: a b a^-1 b^-1\nrel: a a^-1 b\n"
+    p = parse_presentation(text)
+    assert p.whitehead is p.whitehead and p.digest is p.digest
+    assert p.unreduced_relators == (1,)
+    # each value belongs to its own object: an equal presentation builds its own
+    q = parse_presentation(text)
+    assert q == p and q.digest == p.digest and q.whitehead is not p.whitehead
+
+
 @given(st.lists(word_st.filter(lambda w: w), min_size=0, max_size=4))
 def test_parse_serialize_round_trip(relators):
     p = Presentation(("a", "b", "c"), tuple(relators))
     assert parse_presentation(serialize_presentation(p)) == p
-    assert presentation_digest(p) == presentation_digest(
-        parse_presentation(serialize_presentation(p)))
+    assert p.digest == parse_presentation(serialize_presentation(p)).digest
 
 
 @given(st.data())
