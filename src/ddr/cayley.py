@@ -51,15 +51,12 @@ from functools import cache, cached_property
 from itertools import permutations
 from typing import Mapping, NamedTuple, Optional, Sequence
 
+from .certificates import DECIDED_DR, DECIDED_NOT_DR, UNKNOWN
 from .core import (DdrError, Presentation, Word, check_preconditions, free_edge_generators,
                    inverse_word, word_support)
 
 COLLAPSED = "COLLAPSED"
 STUCK = "STUCK"
-
-DECIDED_DR = "DECIDED_DR"
-DECIDED_NOT_DR = "DECIDED_NOT_DR"
-UNKNOWN = "UNKNOWN"
 
 
 @dataclass(frozen=True)

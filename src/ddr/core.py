@@ -63,10 +63,6 @@ class Letter:
 Word = tuple[Letter, ...]
 
 
-def letters(*items: tuple[str, int]) -> Word:
-    return tuple(Letter(g, s) for g, s in items)
-
-
 def inverse_word(w: Word) -> Word:
     return tuple(l.inverse() for l in reversed(w))
 

@@ -5,7 +5,9 @@ reducibility ladder.
 shortcut, the one-relator criterion, the forest test, the
 small-cancellation certificate, the weight search, and finally the
 finite-group decision.  Every test has the signature
-`(p, s, config) -> (Certificate | None, attempt)`.  The first
+`(p, s, config) -> (Certificate | None, attempt)`.  One runner (`_run`,
+`_run_tests`) records every outcome: a fault is a skipped attempt with its
+code, a spent budget an unknown attempt with its reason.  The first
 conclusive answer wins unless run_all is set; failures stay visible in the
 report's attempt list, and UNKNOWN is an honest verdict.
 
@@ -23,8 +25,8 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from . import __version__
-from .certificates import (CERTIFIED_DR_ALL_DIRECTIONS, CERTIFIED_DR_AWAY_FROM,
-                           DECIDED_DR, DECIDED_NOT_DR, REFUTED, Certificate, Report)
+from .certificates import (CERTIFIED_DR_ALL_DIRECTIONS, CERTIFIED_DR_AWAY_FROM, DECIDED_DR,
+                           REFUTED, UNKNOWN, Certificate, Report)
 from .cayley import check_coset_limit, decide_finite
 from .core import (DdrError, Presentation, check_preconditions, free_edge_generators,
                    subpresentation, word_stats, word_support)
@@ -103,25 +105,17 @@ def _forest_test(p: Presentation, s: frozenset[str], config: CheckConfig):
 
 
 def _s44_test(p: Presentation, s: frozenset[str], config: CheckConfig):
-    try:
-        cert = certify_s44(p, s)
-    except DdrError as exc:
-        return None, _attempt("s44", "skipped", f"{exc.code}: {exc}")
+    cert = certify_s44(p, s)
     if cert.positive:
         return cert, _attempt("s44", "certified")
     return None, _attempt("s44", "unknown", cert.evidence.get("failed_hypothesis"))
 
 
 def _weight_test(p: Presentation, s: frozenset[str], config: CheckConfig):
-    try:
-        if config.weights is None:
-            source, wcert = "search", search_weights(p, s)
-        else:
-            source, wcert = "supplied", verify_weight_test(p, s, config.weights)
-    except DdrError as exc:
-        return None, _attempt("weight", "skipped", f"{exc.code}: {exc}")
-    except SearchBudgetSpent as exc:
-        return None, _attempt("weight", "unknown", str(exc))
+    if config.weights is None:
+        source, wcert = "search", search_weights(p, s)
+    else:
+        source, wcert = "supplied", verify_weight_test(p, s, config.weights)
     if wcert is None:
         return None, _attempt("weight", "unknown",
                               "linear program infeasible; the test is sufficient, "
@@ -135,21 +129,17 @@ def _weight_test(p: Presentation, s: frozenset[str], config: CheckConfig):
 
 
 def _finite_test(p: Presentation, s: frozenset[str], config: CheckConfig):
-    try:
-        decision = decide_finite(p, s, config.coset_limit)
-    except DdrError as exc:
-        return None, _attempt("finite", "skipped", f"{exc.code}: {exc}")
-    if decision.verdict == "UNKNOWN":
+    decision = decide_finite(p, s, config.coset_limit)
+    if decision.verdict == UNKNOWN:
         attempt = _attempt("finite", "unknown", decision.reason)
         # index 1 is the abelianization itself, which the reason already names
         if decision.proof is not None and decision.proof.index > 1:
             attempt["evidence"] = decision.proof.to_json_dict()
         return None, attempt
-    verdict = DECIDED_DR if decision.verdict == "DECIDED_DR" else DECIDED_NOT_DR
-    cert = Certificate(p.digest, tuple(sorted(s)), verdict, "finite",
+    cert = Certificate(p.digest, tuple(sorted(s)), decision.verdict, "finite",
                        evidence={"group_order": decision.table.element_count,
                                  "collapse": decision.log.to_json_dict()})
-    if verdict == DECIDED_DR:
+    if decision.verdict == DECIDED_DR:
         cert.notes = ("derived remark: since the group is finite, the collapse of the "
                       "full covering complex also collapses the base complex into the "
                       "subcomplex carried by the subset.",)
@@ -199,7 +189,7 @@ def presentation_dr(p: Presentation) -> dict | None:
             ("s44", lambda ev: {"case": ev["case"]}),
             ("weight", lambda ev: {"weights": {k: str(Fraction(v)) for k, v
                                                in ev["weights"]["weights"].items()}})):
-        cert, _ = TESTS[name](p, frozenset(), CheckConfig())
+        cert, _ = _run(name, p, frozenset(), CheckConfig())
         if cert is not None:
             return {"method": name, **brief(cert.evidence)}
     return None
@@ -209,8 +199,7 @@ def derive_consequences(cert: Certificate, p: Presentation, s: frozenset[str],
                         carried: dict[frozenset[str], dict | None]) -> list[dict]:
     """Group-theoretic consequences of a positive directed-reducibility
     certificate: second-homotopy generation, injectivity on fundamental
-    groups, free subgroups, and asphericity.  The certificate's own
-    consequences come last.
+    groups, free subgroups, and asphericity.
 
     `carried` is the caller's memo of the ladder on carried
     sub-presentations, subset -> `presentation_dr` result, so several
@@ -237,7 +226,7 @@ def derive_consequences(cert: Certificate, p: Presentation, s: frozenset[str],
             "statement": "the presentation complex is aspherical (diagrammatic "
                          "reducibility in all directions includes plain reducibility)",
         })
-        return out + cert.consequences
+        return out
     subset_txt = "{" + ", ".join(sorted(s)) + "}"
     out.append({
         "kind": "pi2_generation",
@@ -265,7 +254,34 @@ def derive_consequences(cert: Certificate, p: Presentation, s: frozenset[str],
             why = "the carried sub-presentation is itself diagrammatically reducible"
         out.append({"kind": "aspherical",
                     "statement": f"the presentation complex is aspherical ({why})"})
-    return out + cert.consequences
+    return out
+
+
+def _run(name: str, p: Presentation, s: frozenset[str], config: CheckConfig):
+    """Run one test of `TESTS`: a fault is a skipped attempt with its code,
+    a spent budget an unknown attempt with its reason."""
+    try:
+        return TESTS[name](p, s, config)
+    except DdrError as exc:
+        return None, _attempt(name, "skipped", f"{exc.code}: {exc}")
+    except SearchBudgetSpent as exc:
+        return None, _attempt(name, "unknown", str(exc))
+
+
+def _run_tests(report: Report, p: Presentation, s: frozenset[str], config: CheckConfig,
+               names: tuple[str, ...], carried: dict, tag: list[str] | None = None) -> None:
+    """Run the tests `names` on subset s, recording each attempt (tagged
+    with `tag` as its subset, if given) and each certificate with its
+    consequences, until the first certificate unless run_all is set."""
+    for name in names:
+        cert, attempt = _run(name, p, s, config)
+        report.attempts.append(attempt if tag is None else {**attempt, "subset": tag})
+        if cert is not None:
+            if cert.positive:
+                cert.consequences = derive_consequences(cert, p, s, carried)
+            report.certificates.append(cert)
+            if not config.run_all:
+                return
 
 
 def run_check(p: Presentation, subset=frozenset(), config: CheckConfig | None = None,
@@ -282,57 +298,37 @@ def run_check(p: Presentation, subset=frozenset(), config: CheckConfig | None = 
     if config.all_directions:
         if subset:
             raise DdrError("--all-directions and --away-from exclude each other", code="USAGE")
-        return _run_all_directions(p, config, report)
-    s = check_preconditions(p, subset, cyclically_reduced=False)
-    carried: dict = {}
-    for name in config.tests:
-        cert, attempt = TESTS[name](p, s, config)
-        report.attempts.append(attempt)
-        if cert is not None:
-            if cert.positive:
-                cert.consequences = derive_consequences(cert, p, s, carried)
-            report.certificates.append(cert)
-            if not config.run_all:
-                break
+        _run_all_directions(p, config, report)
+    else:
+        s = check_preconditions(p, subset, cyclically_reduced=False)
+        _run_tests(report, p, s, config, config.tests, {})
     return report
 
 
-def _run_all_directions(p: Presentation, config: CheckConfig, report: Report) -> Report:
+def _run_all_directions(p: Presentation, config: CheckConfig, report: Report) -> None:
     carried: dict = {}
     if "onerel" in config.tests:
-        cert, attempt = _one_relator_test(p, None, config)
-        report.attempts.append(attempt)
-        if cert is not None:
-            cert.consequences = derive_consequences(cert, p, frozenset(), carried)
-            report.certificates.append(cert)
-            if not config.run_all:
-                return report
+        _run_tests(report, p, frozenset(), config, ("onerel",), carried)
+        if report.certificates and not config.run_all:
+            return
     singles = [frozenset({g}) for g in p.generators]
     if "forest" in config.tests and singles:
         # the forest test's outcome is the same for every subset of size <= 1
-        cert, attempt = _forest_test(p, frozenset(), config)
-        if cert is None:
-            report.attempts.append(attempt)
-        else:
-            report.attempts.append(_attempt("forest", "certified",
-                                            "directed away from each single generator"))
+        cert, attempt = _run("forest", p, frozenset(), config)
+        report.attempts.append(attempt if cert is None else _attempt(
+            "forest", "certified", "directed away from each single generator"))
+        if cert is not None:
             for s in singles:
                 single = replace(cert, subset=tuple(s))
                 single.consequences = derive_consequences(single, p, s, carried)
                 report.certificates.append(single)
-            return report
+            return
     if not report.certificates:
         # per-subset fallback: report the singleton runs individually; a
         # one-generator presentation has no proper singleton
-        sub_config = replace(config, all_directions=False)
         for s in singles:
-            if s == p.generator_set:
-                continue
-            sub_report = run_check(p, s, sub_config)
-            report.attempts.extend(
-                {**a, "subset": sorted(s)} for a in sub_report.attempts)
-            report.certificates.extend(sub_report.certificates)
-    return report
+            if s != p.generator_set:
+                _run_tests(report, p, s, config, config.tests, carried, sorted(s))
 
 
 def diagram_refutation(p: Presentation, subset, verdict: DirectedVerdict) -> Certificate:

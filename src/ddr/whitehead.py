@@ -21,7 +21,6 @@ cycle so far; `reduced_girth` is the minimum under unit weights.
 from __future__ import annotations
 
 import heapq
-from collections import defaultdict, deque
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -165,49 +164,16 @@ class GraphView:
 @dataclass(frozen=True)
 class ForestReport:
     forest: bool
-    witness_cycle: Optional[tuple[int, ...]]  # edge ids forming one cycle
 
 
 def is_forest(view: GraphView) -> ForestReport:
     """Multigraph forest test; a parallel pair counts as a length-2 cycle,
     a loop as a length-1 cycle.  A union-find meets the edges in order; the
-    first whose ends are already joined closes a cycle, and the witness is
-    the tree path between its ends, then that edge."""
-    graph = view.parent
+    first whose ends are already joined closes a cycle."""
+    edges = view.parent.edges
     classes = UnionFind()
-    tree: list[int] = []
-    for eid in view.edge_ids():
-        e = graph.edges[eid]
-        if not classes.union(e.a, e.b):
-            return ForestReport(False, tuple(_tree_path(graph, tree, e.a, e.b) + [eid]))
-        tree.append(eid)
-    return ForestReport(True, None)
-
-
-def _tree_path(graph: WhiteheadGraph, tree: list[int], u: WVertex, v: WVertex) -> list[int]:
-    # BFS through the tree edges; returns the edge id path u..v
-    adj: dict[WVertex, list[tuple[WVertex, int]]] = defaultdict(list)
-    for eid in tree:
-        e = graph.edges[eid]
-        adj[e.a].append((e.b, eid))
-        adj[e.b].append((e.a, eid))
-    prev: dict[WVertex, tuple[WVertex, int]] = {u: (u, -1)}
-    queue = deque([u])
-    while queue:
-        cur = queue.popleft()
-        if cur == v:
-            break
-        for nxt, eid in adj[cur]:
-            if nxt not in prev:
-                prev[nxt] = (cur, eid)
-                queue.append(nxt)
-    path = []
-    cur = v
-    while cur != u:
-        cur, eid = prev[cur]
-        path.append(eid)
-    path.reverse()
-    return path
+    return ForestReport(all(classes.union(edges[eid].a, edges[eid].b)
+                            for eid in view.edge_ids()))
 
 
 @dataclass(frozen=True)

@@ -49,6 +49,10 @@ CASES = {
     "check-genus2-empty": (["check", _f("genus2.pres"), "--run-all",
                             "--coset-limit", "600"], 0),
     "check-genus2-all-directions": (["check", _f("genus2.pres"), "--all-directions"], 0),
+    "check-fx1-all-directions": (["check", _f("fx1.pres"), "--all-directions"], 1),
+    "check-fx3-all-directions": (["check", _f("fx3.pres"), "--all-directions"], 0),
+    "check-fx4-all-directions-forest": (["check", _f("fx4.pres"), "--all-directions",
+                                         "--tests", "forest"], 0),
     "check-onerel-empty": (["check", _f("onerel.pres"), "--run-all",
                             "--coset-limit", "600"], 0),
     "lot-fig3-reorient": (["lot", _f("fig3.lot"), "--reorient"], 0),
