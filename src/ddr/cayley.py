@@ -38,8 +38,9 @@ on d points in which every relator acts trivially, taken one per conjugacy
 class; Reidemeister-Schreier rewriting over a spanning tree of the action
 gives each stabiliser's relation matrix (Sims, Computation with Finitely
 Presented Groups, 1994).  Index 1 is the trivial action, whose matrix is the
-exponent-sum matrix.  A proof, an overflow and an oversized complex all end
-in an UNKNOWN with the reason.
+exponent-sum matrix.  A proof ends in an UNKNOWN decision that carries it;
+an overflow and an oversized complex, like every budget ddr spends, raise
+`BudgetSpent` with the reason.
 """
 
 from __future__ import annotations
@@ -52,8 +53,8 @@ from itertools import permutations
 from typing import Mapping, NamedTuple, Optional, Sequence
 
 from .certificates import DECIDED_DR, DECIDED_NOT_DR, UNKNOWN
-from .core import (DdrError, Presentation, Word, check_preconditions, free_edge_generators,
-                   inverse_word, word_support)
+from .core import (BudgetSpent, DdrError, Presentation, Word, check_preconditions,
+                   free_edge_generators, inverse_word, word_support)
 
 COLLAPSED = "COLLAPSED"
 STUCK = "STUCK"
@@ -775,33 +776,32 @@ class FiniteDecision:
     verdict: str  # DECIDED_DR, DECIDED_NOT_DR, UNKNOWN
     table: Optional[GroupTable]
     log: Optional[CollapseLog]
-    reason: Optional[str] = None  # why the verdict is UNKNOWN
-    proof: Optional[InfinitudeProof] = None  # why the group is infinite
+    proof: Optional[InfinitudeProof] = None  # why the verdict is UNKNOWN
 
 
 def decide_finite(p: Presentation, subset, limit: int) -> FiniteDecision:
     """Decide directed reducibility when the group is small enough to
     enumerate: collapse the full finite universal-cover complex.  The greedy
     collapse is order-independent, so COLLAPSED and STUCK are both
-    conclusive.  A group proved infinite by `prove_infinite`, an
-    enumeration overflow and a complex over `MAX_COMPLEX_SIDES` are honest
-    UNKNOWNs.  No complex is built when no generator outside the subset
-    occurs exactly once in the relators (see the module docstring)."""
+    conclusive.  A group proved infinite by `prove_infinite` is an UNKNOWN
+    carrying the proof; like every budget, an enumeration overflow and a
+    complex over `MAX_COMPLEX_SIDES` raise `BudgetSpent` with the reason.
+    No complex is built when no generator outside the subset occurs exactly
+    once in the relators (see the module docstring)."""
     s = check_preconditions(p, subset, cyclically_reduced=False)
     proof = prove_infinite(p)
     if proof is not None:
-        return FiniteDecision(UNKNOWN, None, None, proof.reason, proof)
+        return FiniteDecision(UNKNOWN, None, None, proof)
     table = coset_enumeration(p, limit)
     if table is None:
-        return FiniteDecision(UNKNOWN, None, None, f"enumeration exceeded {limit} cosets")
+        raise BudgetSpent(f"enumeration exceeded {limit} cosets")
     n = table.element_count
     starters = free_edge_generators(p) - s
     if any(word_support(r) & starters for r in p.relators):
         sides = n * sum(len(r) for r in p.relators)
         if sides > MAX_COMPLEX_SIDES:
-            return FiniteDecision(UNKNOWN, table, None,
-                                  f"covering complex has {sides} boundary sides, over the "
-                                  f"budget of {MAX_COMPLEX_SIDES}")
+            raise BudgetSpent(f"covering complex has {sides} boundary sides, over the "
+                              f"budget of {MAX_COMPLEX_SIDES}")
         log = directed_collapse(build_cayley_complex(table, p).cells, p, s)
     else:
         residual = tuple((element, j) for element in range(n) for j in range(len(p.relators)))

@@ -116,7 +116,7 @@ def _cmd_lot(args) -> int:
         if not targets:
             print("no proper sub-LOT exists")
     for name, t in targets:
-        cert = certify_lot(lot, t)
+        cert = certify_lot(t)
         if cert.positive:
             cert.consequences = derive_consequences(cert, lot.presentation,
                                                     frozenset(t.vertex_subset), {})

@@ -41,6 +41,11 @@ class DdrError(ValueError):
         self.column = column
 
 
+class BudgetSpent(Exception):
+    """A test spent a budget without an answer, which refutes nothing; the
+    pipeline records it as an unknown attempt with the message as reason."""
+
+
 @dataclass(frozen=True, slots=True)
 class Letter:
     """A single signed generator occurrence."""
@@ -298,9 +303,14 @@ def parse_word(text: str) -> Word:
 
 
 def _significant_lines(text: str):
+    """Numbered lines with tokens outside `#` comments, each token as (text, line, column)."""
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0]
-        tokens = [(m.group(0), lineno, m.start() + 1) for m in re.finditer(r"\S+", line)]
+        tokens, column = [], 0
+        for word in line.split():
+            column = line.find(word, column)  # only whitespace lies before it
+            tokens.append((word, lineno, column + 1))
+            column += len(word)
         if tokens:
             yield lineno, tokens
 

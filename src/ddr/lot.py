@@ -14,19 +14,16 @@ as test oracles only.
 
 from __future__ import annotations
 
-import re
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Mapping
 
 from .certificates import CERTIFIED_DR_AWAY_FROM, UNKNOWN, Certificate
-from .core import DdrError, Letter, Presentation, UnionFind
+from .core import _NAME_RE, DdrError, Letter, Presentation, UnionFind, _significant_lines
 # search_weights is unused here; bench/test_harness.py checks its tracer rebinds it
 from .weights import search_weights
 from .whitehead import NEGATIVE, POSITIVE, GraphView, is_forest, reduced_girth
-
-_NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*\Z")
 
 
 @dataclass(frozen=True, slots=True)
@@ -106,12 +103,29 @@ class LOT:
 
 @dataclass(frozen=True)
 class SubLot:
-    """A connected, label-closed subtree with at least one edge, identified
-    by its vertex set (the edges are the induced ones)."""
+    """A connected, label-closed subtree of `parent` with at least one edge,
+    identified by its vertex set (the edges are the induced ones), checked
+    when made; k edges of a tree are connected iff they span k + 1 vertices."""
 
     parent: LOT
     vertex_subset: frozenset[str]
     edge_indices: frozenset[int]
+
+    def __post_init__(self):
+        vs, edge_idx = self.vertex_subset, self.edge_indices
+        if not edge_idx:
+            raise DdrError("a sub-LOT needs at least one edge", code="BAD_SUBLOT")
+        if not edge_idx <= set(range(len(self.parent.edges))):
+            raise DdrError(f"sub-LOT edges {sorted(edge_idx)} not in the LOT", code="BAD_SUBLOT")
+        if _endpoints(self.parent, edge_idx) != vs:
+            raise DdrError("sub-LOT vertex set does not match its edges (disconnected vertex?)",
+                           code="BAD_SUBLOT")
+        outside = sorted({self.parent.edges[i].label for i in edge_idx} - vs)
+        if outside:
+            raise DdrError(f"sub-LOT is not label-closed: label {outside[0]!r} outside",
+                           code="BAD_SUBLOT")
+        if len(vs) != len(edge_idx) + 1:
+            raise DdrError("sub-LOT is not connected", code="BAD_SUBLOT")
 
 
 def make_sublot(lot: LOT, vertices) -> SubLot:
@@ -119,27 +133,8 @@ def make_sublot(lot: LOT, vertices) -> SubLot:
     unknown = vs - lot.vertex_set
     if unknown:
         raise DdrError(f"sub-LOT vertices {sorted(unknown)} not in the LOT", code="BAD_SUBLOT")
-    edge_idx = frozenset(i for i, e in enumerate(lot.edges)
-                         if e.source in vs and e.target in vs)
-    _validate_sublot(lot, vs, edge_idx)
-    return SubLot(lot, vs, edge_idx)
-
-
-def _validate_sublot(lot: LOT, vs: frozenset[str], edge_idx: frozenset[int]) -> None:
-    """A sub-LOT's edges are nonempty, span exactly `vs`, carry labels in `vs`
-    and are connected: k edges of a tree are connected exactly when they
-    span k + 1 vertices."""
-    if not edge_idx:
-        raise DdrError("a sub-LOT needs at least one edge", code="BAD_SUBLOT")
-    if _endpoints(lot, edge_idx) != vs:
-        raise DdrError("sub-LOT vertex set does not match its edges (disconnected vertex?)",
-                       code="BAD_SUBLOT")
-    outside = sorted({lot.edges[i].label for i in edge_idx} - vs)
-    if outside:
-        raise DdrError(f"sub-LOT is not label-closed: label {outside[0]!r} outside",
-                       code="BAD_SUBLOT")
-    if len(vs) != len(edge_idx) + 1:
-        raise DdrError("sub-LOT is not connected", code="BAD_SUBLOT")
+    return SubLot(lot, vs, frozenset(i for i, e in enumerate(lot.edges)
+                                     if e.source in vs and e.target in vs))
 
 
 def _reach(edges: tuple[LotEdge, ...], start: str, cut: int | None) -> frozenset[str]:
@@ -228,10 +223,6 @@ def sub_lots(lot: LOT) -> tuple[SubLotInfo, ...]:
                  for t in sorted(found, key=lambda t: (len(t), sorted(t))))
 
 
-def parse_lot(text: str) -> LOT:
-    return parse_lot_document(text).lot
-
-
 @dataclass(frozen=True)
 class LotDocument:
     lot: LOT
@@ -241,48 +232,46 @@ class LotDocument:
 def parse_lot_document(text: str) -> LotDocument:
     """LOT text format: optional `vertices:` line; `edge <source> <target>
     <label>` lines; optional `sublot: <name> <v1> <v2> ...` lines naming
-    vertex subsets for certification requests."""
+    vertex subsets for certification requests.  Lines are read as in a
+    presentation file; a fault found on a line names it and a column."""
     declared: list[str] = []
     edges: list[LotEdge] = []
-    sublot_specs: list[tuple[str, list[str], int]] = []
+    sublot_specs: list[tuple[str, list[str], int, int]] = []
     saw_vertices = False
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        tokens = line.split()
-        head = tokens[0]
+    for lineno, tokens in _significant_lines(text):
+        head, _, col = tokens[0]
+        names = [name for name, _, _ in tokens[1:]]
         if head == "vertices:":
             if saw_vertices:
-                raise DdrError("second vertices: line", code="SYNTAX", line=lineno)
+                raise DdrError("second vertices: line", code="SYNTAX", line=lineno, column=col)
             saw_vertices = True
-            declared.extend(tokens[1:])
+            declared.extend(names)
         elif head == "edge":
-            if len(tokens) != 4:
+            if len(names) != 3:
                 raise DdrError("expected: edge <source> <target> <label>",
-                               code="SYNTAX", line=lineno)
-            edges.append(LotEdge(tokens[1], tokens[2], tokens[3]))
+                               code="SYNTAX", line=lineno, column=col)
+            edges.append(LotEdge(*names))
         elif head == "sublot:":
-            if len(tokens) < 3:
+            if len(names) < 2:
                 raise DdrError("expected: sublot: <name> <v1> <v2> ...",
-                               code="SYNTAX", line=lineno)
-            sublot_specs.append((tokens[1], tokens[2:], lineno))
+                               code="SYNTAX", line=lineno, column=col)
+            sublot_specs.append((names[0], names[1:], lineno, tokens[1][2]))
         else:
-            raise DdrError(f"unrecognized directive {head!r}", code="SYNTAX", line=lineno)
-    vertices = list(declared)
-    for e in edges:
-        for v in (e.source, e.target):
-            if v not in vertices:
-                vertices.append(v)
-    lot = LOT(tuple(vertices), tuple(edges))
+            raise DdrError(f"unrecognized directive {head!r}", code="SYNTAX",
+                           line=lineno, column=col)
+    known = set(declared)  # declared vertices first, then new endpoints in order
+    lot = LOT(tuple(declared) + tuple(dict.fromkeys(
+        v for e in edges for v in (e.source, e.target) if v not in known)), tuple(edges))
     sublots = {}
-    for name, vs, lineno in sublot_specs:
+    for name, vs, lineno, col in sublot_specs:
         if name in sublots:
-            raise DdrError(f"duplicate sublot name {name!r}", code="SYNTAX", line=lineno)
+            raise DdrError(f"duplicate sublot name {name!r}", code="SYNTAX",
+                           line=lineno, column=col)
         try:
             sublots[name] = make_sublot(lot, vs)
         except DdrError as exc:
-            raise DdrError(f"sublot {name!r}: {exc}", code=exc.code, line=lineno) from exc
+            raise DdrError(f"sublot {name!r}: {exc}", code=exc.code,
+                           line=lineno, column=col) from exc
     return LotDocument(lot, sublots)
 
 
@@ -305,12 +294,11 @@ def lot_properties(lot: LOT) -> LotProperties:
     return LotProperties(compressed, len(set(labels)) == len(labels))
 
 
-def collapse(lot: LOT, t: SubLot, y: str) -> LOT:
-    """Collapse the sub-LOT to a single vertex y: its edges disappear and
-    every occurrence of its vertices (endpoint or label) becomes y."""
-    if t.parent != lot:
-        raise DdrError("sub-LOT does not belong to this LOT", code="BAD_SUBLOT")
-    _validate_sublot(lot, t.vertex_subset, t.edge_indices)
+def collapse(t: SubLot, y: str) -> LOT:
+    """Collapse the sub-LOT to a single vertex y in its LOT: its edges
+    disappear and every occurrence of its vertices (endpoint or label)
+    becomes y."""
+    lot = t.parent
     if y in lot.vertex_set - t.vertex_subset:
         raise DdrError(f"collapse vertex {y!r} collides with a remaining vertex",
                        code="NAME_COLLISION")
@@ -384,7 +372,7 @@ def _fresh_vertex(lot: LOT) -> str:
     return f"y{k}"
 
 
-def certify_lot(lot: LOT, t: SubLot) -> Certificate:
+def certify_lot(t: SubLot) -> Certificate:
     """Collapse-transfer certificate: collapse the maximal proper sub-LOT to
     a vertex y, certify the collapsed LOT directed away from {y} (forest
     test on the positive or negative graph, or reduced girth >= 4), and
@@ -395,15 +383,13 @@ def certify_lot(lot: LOT, t: SubLot) -> Certificate:
     them, asphericity included when the sub-LOT's own presentation passes
     the reducibility ladder.
     """
+    lot = t.parent
     digest, s = lot.presentation.digest, tuple(sorted(t.vertex_subset))
 
     def failure(reason: str, **extra) -> Certificate:
         return Certificate(digest, s, UNKNOWN, "lot_collapse",
                            evidence={"failed_hypothesis": reason, **extra})
 
-    if t.parent != lot:
-        raise DdrError("sub-LOT does not belong to this LOT", code="BAD_SUBLOT")
-    _validate_sublot(lot, t.vertex_subset, t.edge_indices)
     if not lot_properties(lot).compressed:
         return failure("the LOT is not compressed")
     if len(t.edge_indices) == len(lot.edges):
@@ -415,7 +401,7 @@ def certify_lot(lot: LOT, t: SubLot) -> Certificate:
                        enclosing_maximal=enclosing)
 
     y = _fresh_vertex(lot)
-    collapsed = collapse(lot, t, y)
+    collapsed = collapse(t, y)
     if not lot_properties(collapsed).compressed:
         return failure("the collapsed LOT is not compressed",
                        collapsed=serialize_lot(collapsed))

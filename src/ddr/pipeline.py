@@ -7,9 +7,10 @@ small-cancellation certificate, the weight search, and finally the
 finite-group decision.  Every test has the signature
 `(p, s, config) -> (Certificate | None, attempt)`.  One runner (`_run`,
 `_run_tests`) records every outcome: a fault is a skipped attempt with its
-code, a spent budget an unknown attempt with its reason.  The first
-conclusive answer wins unless run_all is set; failures stay visible in the
-report's attempt list, and UNKNOWN is an honest verdict.
+code, a spent budget an unknown attempt with its reason; every budget raises
+`BudgetSpent`, and only `_run` catches it.  The first conclusive answer wins
+unless run_all is set; failures stay visible in the report's attempt list,
+and UNKNOWN is an honest verdict.
 
 `presentation_dr` is the ladder of cheap reducibility tests: the registry's
 forest, s44 and weight tests on the empty subset.  `derive_consequences`
@@ -28,11 +29,11 @@ from . import __version__
 from .certificates import (CERTIFIED_DR_ALL_DIRECTIONS, CERTIFIED_DR_AWAY_FROM, DECIDED_DR,
                            REFUTED, UNKNOWN, Certificate, Report)
 from .cayley import check_coset_limit, decide_finite
-from .core import (DdrError, Presentation, check_preconditions, free_edge_generators,
-                   subpresentation, word_stats, word_support)
+from .core import (BudgetSpent, DdrError, Presentation, check_preconditions,
+                   free_edge_generators, subpresentation, word_stats, word_support)
 from .diagram import REFUTES, DirectedVerdict, SurfaceDiagram, directed_verdict
 from .smallcancel import certify_s44
-from .weights import SearchBudgetSpent, WeightAssignment, search_weights, verify_weight_test
+from .weights import WeightAssignment, search_weights, verify_weight_test
 from .whitehead import NEGATIVE, POSITIVE, GraphView, is_forest
 
 
@@ -131,9 +132,9 @@ def _weight_test(p: Presentation, s: frozenset[str], config: CheckConfig):
 def _finite_test(p: Presentation, s: frozenset[str], config: CheckConfig):
     decision = decide_finite(p, s, config.coset_limit)
     if decision.verdict == UNKNOWN:
-        attempt = _attempt("finite", "unknown", decision.reason)
+        attempt = _attempt("finite", "unknown", decision.proof.reason)
         # index 1 is the abelianization itself, which the reason already names
-        if decision.proof is not None and decision.proof.index > 1:
+        if decision.proof.index > 1:
             attempt["evidence"] = decision.proof.to_json_dict()
         return None, attempt
     cert = Certificate(p.digest, tuple(sorted(s)), decision.verdict, "finite",
@@ -264,7 +265,7 @@ def _run(name: str, p: Presentation, s: frozenset[str], config: CheckConfig):
         return TESTS[name](p, s, config)
     except DdrError as exc:
         return None, _attempt(name, "skipped", f"{exc.code}: {exc}")
-    except SearchBudgetSpent as exc:
+    except BudgetSpent as exc:
         return None, _attempt(name, "unknown", str(exc))
 
 

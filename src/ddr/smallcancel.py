@@ -156,14 +156,10 @@ def check_small_cancellation(p: Presentation, p_val: int, q_val: int) -> SmallCa
                                    c_witness, t_witness)
 
 
-def _consecutive_subset_letters(p: Presentation, s: frozenset[str]):
-    # first cyclically adjacent letter pair with both generators in s
-    for idx, rel in enumerate(p.relators):
-        n = len(rel)
-        for pos in range(n):
-            if rel[pos].gen in s and rel[(pos + 1) % n].gen in s:
-                return (idx, pos)
-    return None
+def _has_consecutive_subset_letters(p: Presentation, s: frozenset[str]) -> bool:
+    # some cyclically adjacent letter pair has both generators in s
+    return any(rel[pos - 1].gen in s and rel[pos].gen in s
+               for rel in p.relators for pos in range(len(rel)))
 
 
 def certify_s44(p: Presentation, subset) -> Certificate:
@@ -174,6 +170,8 @@ def certify_s44(p: Presentation, subset) -> Certificate:
     the explicit weights (1 on edges lying in a length-2 cycle, otherwise
     1/2 or 2/3 depending on the case) are built and re-verified with the
     exact weight-test checker; the verified weight certificate is embedded.
+    An UNKNOWN names the failed hypothesis only.  C(6) implies C(4), so
+    T(4) is checked only when C(4) holds.
     """
     s = check_preconditions(p, subset)
 
@@ -182,32 +180,24 @@ def certify_s44(p: Presentation, subset) -> Certificate:
                            notes=(T_Q_CONVENTION,))
 
     # one pass decides C(4) and C(6): fewer than 4 pieces is also fewer than 6
-    table = piece_table(p)
-    c4_witness, c6_holds = None, True
-    for witness in _piece_products(table):
-        if witness[1] < 6:
-            c6_holds = False
-        if witness[1] < 4:
-            c4_witness = witness
+    c4_holds = c6_holds = True
+    for _, count, _ in _piece_products(piece_table(p)):
+        c6_holds = c6_holds and count >= 6
+        if count < 4:
+            c4_holds = False
             break
-    graph = p.whitehead
-    t4_witness = shortest_reduced_cycle_in_range(graph, 3, 4)
-    if c4_witness is None and t4_witness is None:
+    if c4_holds and shortest_reduced_cycle_in_range(p.whitehead, 3, 4) is None:
         case = "c4t4"
     elif c6_holds:
         case = "c6t3"  # T(3) is vacuous: no length L has 3 <= L < 3
     else:
         return certificate(
-            UNKNOWN, failed_hypothesis="small cancellation: neither C(4),T(4) nor C(6),T(3)",
-            c4_witness=_json_c_witness(c4_witness),
-            t4_witness=list(t4_witness) if t4_witness else None)
-
-    adjacent = _consecutive_subset_letters(p, s)
-    if adjacent is not None:
+            UNKNOWN, failed_hypothesis="small cancellation: neither C(4),T(4) nor C(6),T(3)")
+    if _has_consecutive_subset_letters(p, s):
         return certificate(
-            UNKNOWN, failed_hypothesis="consecutive letters from the subset in a relator",
-            witness={"relator": adjacent[0], "position": adjacent[1]}, case=case)
+            UNKNOWN, failed_hypothesis="consecutive letters from the subset in a relator")
 
+    graph = p.whitehead
     by_endpoints: dict[frozenset, list[int]] = {}
     for e in graph.edges:
         by_endpoints.setdefault(frozenset((e.a, e.b)), []).append(e.id)
@@ -223,12 +213,3 @@ def certify_s44(p: Presentation, subset) -> Certificate:
             "the T(q) operationalization and this input disagree",
             code="WEIGHT_CROSS_CHECK_FAILED")
     return certificate(CERTIFIED_DR_AWAY_FROM, case=case, weights=cert.to_json_dict())
-
-
-def _json_c_witness(witness):
-    if witness is None:
-        return None
-    provenance, count, cuts = witness
-    src, inverted, rotation = provenance
-    return {"relator": src, "inverted": inverted, "rotation": rotation,
-            "pieces": count, "cuts": list(cuts)}

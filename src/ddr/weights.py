@@ -37,22 +37,17 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Optional
 
-from .core import DdrError, Presentation, check_preconditions
+from .core import BudgetSpent, DdrError, Presentation, check_preconditions, _significant_lines
 from .whitehead import WhiteheadGraph, min_weight_reduced_cycle, reduced_cycles_below
 
 
 # a linear row: coefficients by variable, "<=" or ">=", right-hand side
 Constraint = tuple[Mapping[int, Fraction], str, Fraction]
-# search_weights gives up with SearchBudgetSpent after this many rounds of cuts
+# search_weights gives up with BudgetSpent after this many rounds of cuts
 MAX_SEARCH_ROUNDS = 10000
 # a weight in a file is <p>/<q> or an integer: Fraction() alone also takes
 # exponent notation, and its time to parse "1e999999999" has no useful bound
 _WEIGHT_RE = re.compile(r"-?[0-9]+(/[0-9]+)?\Z")
-
-
-class SearchBudgetSpent(Exception):
-    """The cutting-plane search ran `MAX_SEARCH_ROUNDS` rounds without an
-    answer; like infeasibility, this refutes nothing."""
 
 
 @dataclass(frozen=True)
@@ -83,21 +78,20 @@ class WeightAssignment:
 
     @staticmethod
     def parse(text: str) -> "WeightAssignment":
+        """Read `w <edge> <weight>` lines; a fault names its line and column."""
         weights: dict[int, Fraction] = {}
-        for lineno, raw in enumerate(text.splitlines(), start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            parts = line.split()
+        for lineno, tokens in _significant_lines(text):
+            parts = [token for token, _, _ in tokens]
+            where = {"code": "SYNTAX", "line": lineno, "column": tokens[0][2]}
             if len(parts) != 3 or parts[0] != "w" or not _WEIGHT_RE.match(parts[2]):
-                raise DdrError(f"line {lineno}: expected 'w <edge> <p>/<q>'", code="SYNTAX")
+                raise DdrError("expected 'w <edge> <p>/<q>'", **where)
             try:
                 eid = int(parts[1])
                 weight = Fraction(parts[2])
             except (ValueError, ZeroDivisionError) as exc:
-                raise DdrError(f"line {lineno}: {exc}", code="SYNTAX") from exc
+                raise DdrError(str(exc), **where) from exc
             if eid in weights:
-                raise DdrError(f"line {lineno}: edge {eid} already has a weight", code="SYNTAX")
+                raise DdrError(f"edge {eid} already has a weight", **where)
             weights[eid] = weight
         return WeightAssignment(weights)
 
@@ -193,7 +187,7 @@ def search_weights(p: Presentation, subset) -> Optional[WeightCertificate]:
 
     Returns the verified certificate of the assignment found, or None when
     the linear program is infeasible.  None does not refute anything: the
-    weight test is sufficient, not necessary.  Raises SearchBudgetSpent
+    weight test is sufficient, not necessary.  Raises BudgetSpent
     after `MAX_SEARCH_ROUNDS` rounds.
     """
     s = check_preconditions(p, subset)
@@ -241,9 +235,9 @@ def search_weights(p: Presentation, subset) -> Optional[WeightCertificate]:
             if not feasible:
                 break
             weights = current()
-    raise SearchBudgetSpent(f"weight search spent its budget of {MAX_SEARCH_ROUNDS} "
-                            "cutting-plane rounds; the test is sufficient, not necessary, "
-                            "so this refutes nothing")
+    raise BudgetSpent(f"weight search spent its budget of {MAX_SEARCH_ROUNDS} "
+                      "cutting-plane rounds; the test is sufficient, not necessary, "
+                      "so this refutes nothing")
 
 
 def _check_infeasibility_proof(lower: Mapping[int, Fraction], constraints: list[Constraint],

@@ -120,13 +120,13 @@ def test_c06_fxl2_chain(fxl2_doc):
     infos = sub_lots(lot)
     found = any(i.sublot.vertex_subset == {"x1", "x2", "x3", "x4", "x5"}
                 and i.maximal_proper for i in infos)
-    bar = collapse(lot, t, "y")
+    bar = collapse(t, "y")
     printed = [(e.source, e.target, e.label) for e in bar.edges]
     expected = [("u2", "u3", "u1"), ("u1", "u2", "u3"),
                 ("y", "u1", "u4"), ("y", "u4", "u3")]
     graph = build_whitehead(bar.presentation)
     forest = is_forest(GraphView(graph, POSITIVE)).forest
-    cert = certify_lot(lot, t)
+    cert = certify_lot(t)
     consequences = derive_consequences(cert, lot.presentation, t.vertex_subset, {})
     aspherical = any(c["kind"] == "aspherical" for c in consequences)
     sub_w_minus = is_forest(GraphView(

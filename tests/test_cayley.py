@@ -9,7 +9,7 @@ from oracles import (first_nontrivial_relator, infinitude_proof_error, rescan_co
                      tuple_complex)
 from ddr import cayley
 from ddr.cli import main
-from ddr.core import DdrError, Presentation, parse_presentation
+from ddr.core import BudgetSpent, DdrError, Presentation, parse_presentation
 from ddr.cayley import (COLLAPSED, STUCK, CollapseStep, GroupTable,
                         abelian_free_rank, build_cayley_complex, coset_enumeration,
                         decide_finite, directed_collapse, prove_infinite, replay_collapse)
@@ -245,32 +245,38 @@ class TestDecide:
         monkeypatch.setattr(cayley, "coset_enumeration", refuse)
         d = decide_finite(fx4, {"a"}, 100)
         assert d.verdict == "UNKNOWN" and d.table is None and d.log is None
-        assert d.reason == ("abelianization has free rank 2, so the group is infinite; "
-                            "coset enumeration skipped")
+        assert d.proof.reason == ("abelianization has free rank 2, so the group is infinite; "
+                                  "coset enumeration skipped")
         assert (d.proof.index, d.proof.free_rank) == (1, 2)
         # the index-1 reason names the rank, and the attempt carries no evidence
         report = run_check(fx4, {"a"}, CheckConfig(tests=("finite",)))
-        assert report.attempts == [{"test": "finite", "status": "unknown", "reason": d.reason}]
+        assert report.attempts == [{"test": "finite", "status": "unknown",
+                                    "reason": d.proof.reason}]
 
     def test_finite_abelianization_still_enumerates(self):
         # D_5 + c is finite of order 10, so no screen proves it infinite, and
         # enumeration overflows at a limit below its order
         p = dihedral_plus_c(5)
         assert abelian_free_rank(p) == 0 and prove_infinite(p) is None
-        d = decide_finite(p, {"a"}, 5)
-        assert d.verdict == "UNKNOWN" and d.reason == "enumeration exceeded 5 cosets"
-        assert d.proof is None
+        with pytest.raises(BudgetSpent) as spent:
+            decide_finite(p, {"a"}, 5)
+        assert str(spent.value) == "enumeration exceeded 5 cosets"
+        # the runner records the spent budget as the test's unknown attempt
+        report = run_check(p, {"a"}, CheckConfig(tests=("finite",), coset_limit=5))
+        assert report.certificates == []
+        assert report.attempts == [{"test": "finite", "status": "unknown",
+                                    "reason": "enumeration exceeded 5 cosets"}]
 
     def test_complex_budget(self, monkeypatch):
         monkeypatch.setattr(cayley, "MAX_COMPLEX_SIDES", 10)
-        d = decide_finite(dihedral_plus_c(3), {"b"}, 100)
-        assert d.verdict == "UNKNOWN" and d.log is None and d.table.element_count == 6
         # 6 elements times relator lengths 3 + 2 + 4 + 3
-        assert d.reason == "covering complex has 72 boundary sides, over the budget of 10"
+        reason = "covering complex has 72 boundary sides, over the budget of 10"
+        with pytest.raises(BudgetSpent) as spent:
+            decide_finite(dihedral_plus_c(3), {"b"}, 100)
+        assert str(spent.value) == reason
         report = run_check(dihedral_plus_c(3), {"b"}, CheckConfig(tests=("finite",)))
         assert report.certificates == []
-        assert report.attempts == [{"test": "finite", "status": "unknown",
-                                    "reason": d.reason}]
+        assert report.attempts == [{"test": "finite", "status": "unknown", "reason": reason}]
         # no complex is built when no cell has a free edge to start from
         assert decide_finite(cyclic(5), set(), 100).verdict == "DECIDED_NOT_DR"
 
@@ -416,13 +422,14 @@ class TestScreen:
         d = decide_finite(p, {p.generators[0]}, 20000)
         assert d.verdict == "UNKNOWN" and d.table is None and d.log is None
         assert (d.proof.index, d.proof.free_rank) == (index, rank)
-        assert d.reason == (f"a subgroup of index {index} has abelianization of free rank "
-                            f"{rank}, so the group is infinite; coset enumeration skipped")
+        assert d.proof.reason == (f"a subgroup of index {index} has abelianization of free "
+                                  f"rank {rank}, so the group is infinite; coset enumeration "
+                                  "skipped")
         evidence = d.proof.to_json_dict()
         assert infinitude_proof_error(p, **evidence) is None
         report = run_check(p, {p.generators[0]}, CheckConfig(tests=("finite",)))
         assert report.attempts == [{"test": "finite", "status": "unknown",
-                                    "reason": d.reason, "evidence": evidence}]
+                                    "reason": d.proof.reason, "evidence": evidence}]
 
     def test_z2_free_product_z3_evidence(self):
         proof = prove_infinite(parse_presentation("gens: a b\nrel: a^2\nrel: b^3"))
@@ -493,7 +500,8 @@ class TestScreen:
         monkeypatch.setattr(cayley, "MAX_SCREEN_NODES", 0)
         p = parse_presentation("gens: a b\nrel: a^2\nrel: b^3")
         assert prove_infinite(p) is None
-        assert decide_finite(p, {"a"}, 100).reason == "enumeration exceeded 100 cosets"
+        with pytest.raises(BudgetSpent, match="enumeration exceeded 100 cosets"):
+            decide_finite(p, {"a"}, 100)
         # the index-1 case needs no budget
         assert prove_infinite(parse_presentation("gens: a b\nrel: a^2")).index == 1
 

@@ -126,7 +126,7 @@ class TestWorkDoneOnce:
         # asphericity is derived with the other consequences, as in the test above
         counts = Counter()
         _count_calls(monkeypatch, counts, pipeline, "presentation_dr")
-        cert = lot.certify_lot(fxl2_doc.lot, fxl2_doc.sublots["T"])
+        cert = lot.certify_lot(fxl2_doc.sublots["T"])
         assert cert.positive
         assert counts == {}
         assert cert.consequences == []
@@ -158,8 +158,9 @@ class TestWorkDoneOnce:
         for name in ("sub_lots", "label_closure"):
             _count_calls(monkeypatch, counts, lot, name)
         assert main(["lot", str(FIXTURES / "fxl2.lot"), "--reorient"]) == 0
-        fxl2 = lot.parse_lot((FIXTURES / "fxl2.lot").read_text())  # nothing cached yet
-        cert = lot.certify_lot(fxl2, lot.make_sublot(fxl2, {"x1", "x2", "x3"}))
+        # nothing cached yet
+        fxl2 = lot.parse_lot_document((FIXTURES / "fxl2.lot").read_text()).lot
+        cert = lot.certify_lot(lot.make_sublot(fxl2, {"x1", "x2", "x3"}))
         assert cert.evidence["enclosing_maximal"] == [["x1", "x2", "x3", "x4", "x5"]]
         assert counts == {}
         capsys.readouterr()

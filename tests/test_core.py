@@ -1,3 +1,5 @@
+import re
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -77,6 +79,19 @@ class TestParse:
         with pytest.raises(DdrError) as exc:
             parse_presentation("gens: a a\nrel: a")
         assert exc.value.code == "DUPLICATE_GENERATOR"
+
+    @given(st.text(alphabet=st.sampled_from("ab#^-1 \t\n\r\x0b\x0c\x1c\x85\xa0\u3000"),
+                   max_size=40))
+    def test_line_reader_matches_a_whitespace_regex(self, text):
+        # every text format's tokens are the maximal non-whitespace runs
+        # before a `#`, with 1-based columns
+        expected = []
+        for lineno, raw in enumerate(text.splitlines(), start=1):
+            line = raw.split("#", 1)[0]
+            tokens = [(m.group(), lineno, m.start() + 1) for m in re.finditer(r"\S+", line)]
+            if tokens:
+                expected.append((lineno, tokens))
+        assert list(core._significant_lines(text)) == expected
 
     def test_serialize_no_compression(self, fx1):
         text = serialize_presentation(fx1)

@@ -8,8 +8,8 @@ from conftest import random_compressed_lot, random_lot
 from ddr import lot as lot_module
 from ddr.cli import main
 from ddr.core import DdrError, parse_word, word_stats
-from ddr.lot import (LOT, LotEdge, certify_lot, collapse, lot_properties, make_sublot,
-                     parse_lot, reorient_positive_tree, serialize_lot, sub_lots)
+from ddr.lot import (LOT, LotEdge, SubLot, certify_lot, collapse, lot_properties, make_sublot,
+                     parse_lot_document, reorient_positive_tree, serialize_lot, sub_lots)
 from ddr.pipeline import derive_consequences
 from ddr.whitehead import POSITIVE, GraphView, build_whitehead, is_forest
 from oracles import insert
@@ -26,12 +26,12 @@ def sublot_as_lot(t):
 class TestParse:
     def test_label_must_be_vertex(self):
         with pytest.raises(DdrError) as exc:
-            parse_lot("edge x1 x2 x3")
+            parse_lot_document("edge x1 x2 x3").lot
         assert exc.value.code == "LABEL_NOT_A_VERTEX"
 
     def test_disconnected_rejected(self):
         with pytest.raises(DdrError) as exc:
-            parse_lot("vertices: x1 x2 x3\nedge x1 x2 x3")
+            parse_lot_document("vertices: x1 x2 x3\nedge x1 x2 x3").lot
         assert exc.value.code == "NOT_A_TREE"
 
     def test_fxl1(self, fxl1_doc):
@@ -46,16 +46,30 @@ class TestParse:
 
     def test_serialize_round_trip(self, fxl2_doc):
         lot = fxl2_doc.lot
-        assert parse_lot(serialize_lot(lot)) == lot
+        assert parse_lot_document(serialize_lot(lot)).lot == lot
 
     def test_single_vertex(self):
-        lot = parse_lot("vertices: a")
+        lot = parse_lot_document("vertices: a").lot
         assert lot.vertices == ("a",) and lot.edges == ()
 
     def test_cycle_rejected(self):
         with pytest.raises(DdrError) as exc:
-            parse_lot("edge a b a\nedge b c a\nedge c a b")
+            parse_lot_document("edge a b a\nedge b c a\nedge c a b").lot
         assert exc.value.code == "NOT_A_TREE"
+
+    @pytest.mark.parametrize("text, code, line, column", [
+        ("vertices: a b\n  edge a b\n", "SYNTAX", 2, 3),
+        ("edge a b a\nvertices: a\nvertices: b\n", "SYNTAX", 3, 1),
+        ("edge a b a  # ok\n\n  bogus a\n", "SYNTAX", 3, 3),
+        ("edge a b a\nsublot: T\n", "SYNTAX", 2, 1),
+        ("vertices: a b\nedge a b a\nsublot: T a\n", "BAD_SUBLOT", 3, 9),
+        ("edge a b a\nedge b c b\nsublot: T a b\nsublot: T b c\n", "SYNTAX", 4, 9),
+    ])
+    def test_errors_name_line_and_column(self, text, code, line, column):
+        with pytest.raises(DdrError) as exc:
+            parse_lot_document(text)
+        assert (exc.value.code, exc.value.line, exc.value.column) == (code, line, column)
+        assert str(exc.value).endswith(f" (line {line}, column {column})")
 
 
 class TestPresentation:
@@ -186,6 +200,24 @@ def lattice_maximal(lot):
     return [t for t in proper if not any(t.edge_indices < o.edge_indices for o in proper)]
 
 
+class TestSubLotChecks:
+    """A sub-LOT is checked when it is made, however it is made."""
+
+    LOT3 = LOT(("a", "b", "c"), (LotEdge("a", "b", "c"), LotEdge("b", "c", "a")))
+
+    @pytest.mark.parametrize("vertices, edges, message", [
+        ({"a", "b"}, {0}, "not label-closed: label 'c' outside"),
+        (set(), set(), "needs at least one edge"),
+        ({"a", "b", "c"}, {0}, "does not match its edges"),
+        ({"b", "c"}, {-1}, r"edges \[-1\] not in the LOT"),
+        ({"a", "b", "c"}, {0, 1, 2}, "not in the LOT"),
+    ])
+    def test_direct_construction_is_checked(self, vertices, edges, message):
+        with pytest.raises(DdrError, match=message) as exc:
+            SubLot(self.LOT3, frozenset(vertices), frozenset(edges))
+        assert exc.value.code == "BAD_SUBLOT"
+
+
 class TestMaximalSubLots:
     def test_matches_the_lattice_flags_and_order(self):
         rng = random.Random(29)
@@ -201,7 +233,7 @@ class TestMaximalSubLots:
             lot = random_compressed_lot(rng, rng.randint(3, 7))
             maximal = lattice_maximal(lot)
             for t in (i.sublot for i in sub_lots(lot) if i.proper):
-                evidence = certify_lot(lot, t).evidence
+                evidence = certify_lot(t).evidence
                 answers[t in maximal] += 1
                 if t in maximal:
                     assert "enclosing_maximal" not in evidence
@@ -236,7 +268,7 @@ class TestMaximalSubLots:
 class TestCollapseInsert:
     def test_fxl2_collapse_matches_printed_form(self, fxl2_doc):
         lot, t = fxl2_doc.lot, fxl2_doc.sublots["T"]
-        bar = collapse(lot, t, "y")
+        bar = collapse(t, "y")
         assert bar.vertices == ("u3", "u2", "u1", "y", "u4")
         assert bar.edges == (LotEdge("u2", "u3", "u1"), LotEdge("u1", "u2", "u3"),
                              LotEdge("y", "u1", "u4"), LotEdge("y", "u4", "u3"))
@@ -244,28 +276,28 @@ class TestCollapseInsert:
     def test_collapse_to_two_vertices(self):
         lot = LOT(("a", "b", "c"), (LotEdge("a", "b", "b"), LotEdge("b", "c", "a")))
         t = make_sublot(lot, {"a", "b"})
-        bar = collapse(lot, t, "z")
+        bar = collapse(t, "z")
         assert bar.vertices == ("z", "c")
         assert bar.edges == (LotEdge("z", "c", "z"),)
 
     def test_name_collision_rejected(self, fxl2_doc):
         lot, t = fxl2_doc.lot, fxl2_doc.sublots["T"]
         with pytest.raises(DdrError) as exc:
-            collapse(lot, t, "u1")
+            collapse(t, "u1")
         assert exc.value.code == "NAME_COLLISION"
 
     def test_reused_name_allowed(self, fxl2_doc):
         lot, t = fxl2_doc.lot, fxl2_doc.sublots["T"]
-        bar = collapse(lot, t, "x1")
+        bar = collapse(t, "x1")
         assert "x1" in bar.vertices
 
     def test_insert_round_trip_fxl2(self, fxl2_doc):
         lot, t = fxl2_doc.lot, fxl2_doc.sublots["T"]
-        bar = collapse(lot, t, "y")
+        bar = collapse(t, "y")
         rebuilt = insert(bar, "y", sublot_as_lot(t), {2: "x1", 3: "x5"}, {})
         assert set(rebuilt.vertices) == set(lot.vertices)
         assert sorted(map(str, rebuilt.edges)) == sorted(map(str, lot.edges))
-        assert collapse(rebuilt, make_sublot(rebuilt, t.vertex_subset), "y") == bar
+        assert collapse(make_sublot(rebuilt, t.vertex_subset), "y") == bar
 
     def test_insert_single_vertex_renames(self):
         bar = LOT(("y", "c"), (LotEdge("y", "c", "c"),))
@@ -290,7 +322,7 @@ class TestCollapseInsert:
                 continue
             t = rng.choice(proper).sublot
             y = "zz"
-            bar = collapse(lot, t, y)
+            bar = collapse(t, y)
             endpoint_att = {}
             label_att = {}
             kept = [i for i in range(len(lot.edges)) if i not in t.edge_indices]
@@ -305,7 +337,7 @@ class TestCollapseInsert:
             rebuilt = insert(bar, y, sublot_as_lot(t), endpoint_att, label_att)
             assert set(rebuilt.vertices) == set(lot.vertices)
             assert sorted(map(str, rebuilt.edges)) == sorted(map(str, lot.edges))
-            assert collapse(rebuilt, make_sublot(rebuilt, t.vertex_subset), y) == bar
+            assert collapse(make_sublot(rebuilt, t.vertex_subset), y) == bar
             done += 1
 
 
@@ -326,7 +358,7 @@ def assert_forest_reorientation(lot, out):
 class TestReorient:
     def test_fxl2_bar_needs_no_flip(self, fxl2_doc):
         lot, t = fxl2_doc.lot, fxl2_doc.sublots["T"]
-        bar = collapse(lot, t, "y")
+        bar = collapse(t, "y")
         out = reorient_positive_tree(bar)
         assert out == bar  # the identity reorientation already works
 
@@ -367,7 +399,7 @@ class TestReorient:
 class TestCertify:
     def test_fxl2_full_chain(self, fxl2_doc):
         lot, t = fxl2_doc.lot, fxl2_doc.sublots["T"]
-        cert = certify_lot(lot, t)
+        cert = certify_lot(t)
         assert cert.verdict == "CERTIFIED_DR_AWAY_FROM"
         assert cert.subset == ("x1", "x2", "x3", "x4", "x5")
         assert cert.evidence["test"] == "forest"
@@ -378,7 +410,7 @@ class TestCertify:
 
     def test_fig3_certifies_with_girth_at_least_four(self, fig3_doc):
         lot, t = fig3_doc.lot, fig3_doc.sublots["T"]
-        cert = certify_lot(lot, t)
+        cert = certify_lot(t)
         assert cert.verdict == "CERTIFIED_DR_AWAY_FROM"
         assert cert.evidence["reduced_girth"] is None or \
             cert.evidence["reduced_girth"] >= 4
@@ -386,7 +418,7 @@ class TestCertify:
     def test_non_maximal_rejected_with_suggestion(self, fxl2_doc):
         lot = fxl2_doc.lot
         small = make_sublot(lot, {"x1", "x2", "x3"})
-        cert = certify_lot(lot, small)
+        cert = certify_lot(small)
         assert cert.verdict == "UNKNOWN"
         assert "maximal" in cert.evidence["failed_hypothesis"]
         assert ["x1", "x2", "x3", "x4", "x5"] in cert.evidence["enclosing_maximal"]
@@ -394,7 +426,7 @@ class TestCertify:
     def test_whole_lot_rejected(self, fxl2_doc):
         lot = fxl2_doc.lot
         whole = make_sublot(lot, set(lot.vertices))
-        cert = certify_lot(lot, whole)
+        cert = certify_lot(whole)
         assert cert.verdict == "UNKNOWN"
         assert "proper" in cert.evidence["failed_hypothesis"]
 
@@ -414,7 +446,7 @@ class TestRelabelling:
                                              any(q["kind"] == "aspherical"
                                                  for q in c["consequences"]))
                     for c in json.loads(json_file.read_text())["certificates"]}
-        return code, verdicts, parse_lot("\n".join(printed))
+        return code, verdicts, parse_lot_document("\n".join(printed)).lot
 
     def test_verdicts_survive_relabelling(self, tmp_path, capsys):
         rng = random.Random(11)

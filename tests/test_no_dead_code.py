@@ -1,10 +1,12 @@
 """Lint: every top-level function and class in `src/ddr` is read somewhere
 in `src/ddr` other than its own definition, unless `UNREAD` names it with
+the reason it stays; and every name a module of `src/ddr` imports is read
+in that module, unless `UNREAD_IMPORTS` names it (as `module.name`) with
 the reason it stays.
 
 A read is a name or an attribute in any module's code; an import alone is
-not one.  Each `UNREAD` entry must still be defined and still unread, so the
-list only shrinks as code gains callers.
+not one.  Each allowlist entry must still be defined (or imported) and
+still unread, so the lists only shrink as code gains callers.
 """
 
 import ast
@@ -16,7 +18,6 @@ UNREAD = {
     "replay_collapse": "bench/gate.py re-checks finite certificates with it",
     "solve_feasibility": "bench/run.py traces it as the weight LP layer",
     "sub_lots": "bench/run.py traces it; the tests use the lattice as an oracle",
-    "parse_lot": "bench/ builds its LOT inputs with it",
     "double_disc": "public API named in the README",
     "matched_surface": "public API named in the README",
     "check_small_cancellation": "public API: the C(p), T(q) report, tested on its own",
@@ -24,6 +25,12 @@ UNREAD = {
     "parse_word": "test helper: builds words from text",
     "folding_edges": "test helper: the validating folding scan",
     "abelian_free_rank": "test helper: the free rank of the abelianization",
+}
+
+UNREAD_IMPORTS = {
+    "cli.search_weights": "bench/test_harness.py checks that its tracer rebinds it",
+    "lot.search_weights": "bench/test_harness.py checks that its tracer rebinds it",
+    "smallcancel.build_whitehead": "bench/test_harness.py checks that its tracer rebinds it",
 }
 
 
@@ -57,3 +64,32 @@ def test_allowlist_names_only_unread_definitions():
     defined, read = _definitions_and_reads()
     assert sorted(set(UNREAD) - defined) == []
     assert sorted(set(UNREAD) & read) == []
+
+
+def _unread_imports() -> tuple[set[str], set[str]]:
+    """Every `module.name` that a module of `src/ddr` imports, and those
+    among them that the module never reads as a name."""
+    imported: set[str] = set()
+    unread: set[str] = set()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        bound = {(alias.asname or alias.name).split(".")[0]
+                 for node in ast.walk(tree)
+                 if isinstance(node, (ast.Import, ast.ImportFrom))
+                 and getattr(node, "module", None) != "__future__"
+                 for alias in node.names}
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        imported |= {f"{path.stem}.{name}" for name in bound}
+        unread |= {f"{path.stem}.{name}" for name in bound - read}
+    return imported, unread
+
+
+def test_every_import_is_read():
+    _, unread = _unread_imports()
+    assert sorted(unread - set(UNREAD_IMPORTS)) == []
+
+
+def test_import_allowlist_names_only_unread_imports():
+    imported, unread = _unread_imports()
+    assert sorted(set(UNREAD_IMPORTS) - imported) == []
+    assert sorted(set(UNREAD_IMPORTS) - unread) == []

@@ -4,9 +4,8 @@ certificate is recorded in one place, on every path through `run_check`."""
 import pytest
 
 from ddr import pipeline
-from ddr.core import DdrError
+from ddr.core import BudgetSpent, DdrError
 from ddr.pipeline import TEST_ORDER, CheckConfig, presentation_dr, run_check
-from ddr.weights import SearchBudgetSpent
 
 
 def _raising(exc):
@@ -25,13 +24,13 @@ def test_a_fault_is_a_skipped_attempt_with_its_code(name, fx4, monkeypatch):
 
 @pytest.mark.parametrize("name", TEST_ORDER)
 def test_a_spent_budget_is_an_unknown_attempt_with_its_reason(name, fx4, monkeypatch):
-    monkeypatch.setitem(pipeline.TESTS, name, _raising(SearchBudgetSpent("spent: 3 rounds")))
+    monkeypatch.setitem(pipeline.TESTS, name, _raising(BudgetSpent("spent: 3 rounds")))
     report = run_check(fx4, frozenset(), CheckConfig(tests=(name,)))
     assert report.attempts == [{"test": name, "status": "unknown",
                                 "reason": "spent: 3 rounds"}]
 
 
-@pytest.mark.parametrize("exc", [DdrError("boom", code="PROBE"), SearchBudgetSpent("spent")])
+@pytest.mark.parametrize("exc", [DdrError("boom", code="PROBE"), BudgetSpent("spent")])
 def test_the_ladder_misses_when_its_tests_raise(exc, fx4, monkeypatch):
     assert presentation_dr(fx4) is not None
     for name in ("forest", "s44", "weight"):

@@ -5,12 +5,13 @@ import pytest
 from conftest import random_presentation
 from oracles import (brute_min_pieces, brute_occurrences,
                      brute_reduced_cycles_of_length)
+from ddr import smallcancel
 from ddr.core import DdrError, Presentation, inverse_word, parse_presentation, parse_word
 from ddr.smallcancel import (check_small_cancellation,
                              certify_s44, min_piece_decomposition, piece_table,
                              symmetrized_closure)
 from ddr.weights import verify_weight_test
-from ddr.whitehead import build_whitehead
+from ddr.whitehead import build_whitehead, shortest_reduced_cycle_in_range
 
 W = parse_word
 
@@ -154,7 +155,8 @@ class TestCertify:
         cert = certify_s44(p, s)
         assert scan_hit
         assert cert.verdict == "UNKNOWN"
-        assert "consecutive" in cert.evidence["failed_hypothesis"]
+        assert cert.evidence == {
+            "failed_hypothesis": "consecutive letters from the subset in a relator"}
 
     def test_fx4_is_c4t4_and_certifies(self, fx4):
         # the commutator needs exactly four single-letter pieces, which C(4)
@@ -163,12 +165,23 @@ class TestCertify:
         assert cert.verdict == "CERTIFIED_DR_AWAY_FROM"
         assert cert.evidence["case"] == "c4t4"
 
-    def test_non_small_cancellation_fails(self):
-        # a^2 is a single piece of itself (two rotations share the prefix)
+    def test_non_small_cancellation_fails(self, monkeypatch):
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return shortest_reduced_cycle_in_range(*args)
+
+        monkeypatch.setattr(smallcancel, "shortest_reduced_cycle_in_range", counted)
+        # a^2 is a single piece of itself (two rotations share the prefix), so
+        # C(4) fails, and with it C(6): T(4) cannot matter and is not walked
         p = parse_presentation("gens: a\nrel: a a")
         cert = certify_s44(p, set())
+        assert calls == []
         assert cert.verdict == "UNKNOWN"
-        assert "small cancellation" in cert.evidence["failed_hypothesis"]
+        assert cert.evidence == {
+            "failed_hypothesis": "small cancellation: neither C(4),T(4) nor C(6),T(3)"}
+        assert cert.notes == (smallcancel.T_Q_CONVENTION,)
 
     def test_improper_subset_rejected(self, fx4):
         with pytest.raises(DdrError) as exc:

@@ -8,10 +8,10 @@ import pytest
 from conftest import FIXTURES
 from ddr import weights
 from ddr.cli import main
-from ddr.core import DdrError, parse_presentation, subpresentation
+from ddr.core import BudgetSpent, DdrError, parse_presentation, subpresentation
 from ddr.pipeline import CheckConfig, presentation_dr, run_check
-from ddr.weights import (SearchBudgetSpent, Tableau, WeightAssignment, farkas_refutes,
-                         search_weights, solve_feasibility, verify_weight_test)
+from ddr.weights import (Tableau, WeightAssignment, farkas_refutes, search_weights,
+                         solve_feasibility, verify_weight_test)
 from ddr.whitehead import build_whitehead, min_weight_reduced_cycle
 
 
@@ -182,6 +182,14 @@ class TestSerialization:
             WeightAssignment.parse("w 0 1/2\nw 0 3")
         assert exc.value.code == "SYNTAX"
 
+    @pytest.mark.parametrize("text, line, column", [
+        ("w 0 1/2\n  w 0 3", 2, 3), ("# weights\n\n   w x 1/2", 3, 4),
+        ("w 0 1/0", 1, 1), ("w 0 1/2 # ok\n w 1", 2, 2)])
+    def test_errors_name_line_and_column(self, text, line, column):
+        with pytest.raises(DdrError) as exc:
+            WeightAssignment.parse(text)
+        assert (exc.value.code, exc.value.line, exc.value.column) == ("SYNTAX", line, column)
+
     def test_only_fractions_and_integers_parse(self, tmp_path, capsys):
         parsed = WeightAssignment.parse("w 0 3\nw 1 -1/2\nw 2 04/6")
         assert dict(parsed.weights) == {0: 3, 1: Fraction(-1, 2), 2: Fraction(2, 3)}
@@ -195,7 +203,7 @@ class TestSerialization:
         wfile.write_text("w 0 1e10000000\n")
         assert main(["check", str(FIXTURES / "fx4.pres"), "--tests", "weight",
                      "--weights", str(wfile)]) == 3
-        assert "line 1: expected 'w <edge> <p>/<q>'" in capsys.readouterr().err
+        assert "expected 'w <edge> <p>/<q>' (line 1, column 1)" in capsys.readouterr().err
 
 
 class TestSimplex:
@@ -326,7 +334,7 @@ class TestSearchBudget:
         config = CheckConfig(tests=("finite",))
         unbudgeted = run_check(p, {"a", "b"}, config).to_json()
         monkeypatch.setattr(weights, "MAX_SEARCH_ROUNDS", 1)
-        with pytest.raises(SearchBudgetSpent, match="budget of 1 cutting-plane rounds"):
+        with pytest.raises(BudgetSpent, match="budget of 1 cutting-plane rounds"):
             search_weights(carried, frozenset())
         assert presentation_dr(carried) is None
         report = run_check(p, {"a", "b"}, config)
