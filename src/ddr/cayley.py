@@ -361,18 +361,6 @@ class CayleyComplex:
         return CellView(self.arrays, [tuple(l.sign for l in rel)
                                       for rel in self.presentation.relators])
 
-    @property
-    def vertex_count(self) -> int:
-        return self.table.element_count
-
-    @property
-    def edge_count(self) -> int:
-        return self.table.element_count * len(self.presentation.generators)
-
-    @property
-    def two_cell_count(self) -> int:
-        return len(self.arrays.ids)
-
 
 def build_cayley_complex(table: GroupTable, p: Presentation) -> CayleyComplex:
     """The cells of the universal cover, relator r at element x having id
@@ -694,13 +682,6 @@ def _stabiliser_free_rank(runs: Sequence[Runs], perms: Sequence[tuple[int, ...]]
                 x = points[rest]
             rows.append(row)
     return ncols - _rank(rows, ncols)
-
-
-def abelian_free_rank(p: Presentation) -> int:
-    """Free rank of the abelianization: the index-1 case of the screen, where
-    the Schreier generators are the generators and the lifted relators are
-    the exponent-sum rows."""
-    return _stabiliser_free_rank(_relator_runs(p), [(0,)] * len(p.generators), 1)
 
 
 class InfinitudeProof(NamedTuple):

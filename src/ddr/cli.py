@@ -18,7 +18,7 @@ from pathlib import Path
 from . import __version__
 from .certificates import UNKNOWN, Report
 from .core import DdrError, check_preconditions, parse_presentation
-from .diagram import REFUTES, _folding_scan, directed_verdict, loads_diagram, validate_diagram
+from .diagram import REFUTES, directed_verdict, folding_edges, loads_diagram, validate_diagram
 from .lot import (certify_lot, lot_properties, parse_lot_document, reorient_positive_tree,
                   serialize_lot)
 from .pipeline import (TEST_ORDER, CheckConfig, check_diagram, derive_consequences,
@@ -118,8 +118,7 @@ def _cmd_lot(args) -> int:
     for name, t in targets:
         cert = certify_lot(t)
         if cert.positive:
-            cert.consequences = derive_consequences(cert, lot.presentation,
-                                                    frozenset(t.vertex_subset), {})
+            cert.consequences = derive_consequences(cert, lot.presentation, {})
         report.certificates.append(cert)
         subset = "{" + ", ".join(sorted(t.vertex_subset)) + "}"
         print(f"sublot {name} {subset}: {cert.verdict}"
@@ -144,8 +143,7 @@ def _cmd_diagram(args) -> int:
     print(f"diagram valid: chi={validation.euler_characteristic} "
           f"orientable={validation.orientable} sphere={validation.sphere} "
           f"disc={validation.disc}")
-    # the diagram is valid, so its foldings need no second validation
-    print(f"folding edges: {[f.edge_id for f in _folding_scan(d)]}")
+    print(f"folding edges: {[f.edge_id for f in folding_edges(d)]}")
     verdict = directed_verdict(d, p, subset)
     print(f"verdict: {verdict.verdict} (as {verdict.mode})")
     if verdict.verdict == REFUTES:

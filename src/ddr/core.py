@@ -296,12 +296,6 @@ def _expand(powers: Iterable[tuple[Letter, int, int]]) -> Word:
     return tuple(letter for letter, count, _ in powers for _ in range(count))
 
 
-def parse_word(text: str) -> Word:
-    """Parse a standalone word like "a b^-1 c^2" (no generator checking)."""
-    tokens = [(m.group(0), 1, m.start() + 1) for m in re.finditer(r"\S+", text)]
-    return _expand(_token_powers(tokens))
-
-
 def _significant_lines(text: str):
     """Numbered lines with tokens outside `#` comments, each token as (text, line, column)."""
     for lineno, raw in enumerate(text.splitlines(), start=1):

@@ -17,9 +17,9 @@ a side crosses, so the test does not depend on how face walks were chosen.)
 Every surface built here (the matched surface of a generator, a doubled
 disc, an orientation double cover) is a quotient of labeled polygons, each
 with its mirror image, under one gluing that numbers vertices and edges in
-gluing order.  Validation runs once per diagram: `validate_diagram`,
-`folding_edges` and `directed_verdict` each check their input, and the
-verdict scans for foldings on the diagram it has already validated.
+gluing order.  Validation runs once per diagram: `validate_diagram` and
+`directed_verdict` check their input, and `folding_edges` scans a diagram
+that has already been validated.
 """
 
 from __future__ import annotations
@@ -250,22 +250,10 @@ class FoldingEdge:
     side_b: tuple[int, int]
 
 
-def _validated(d: SurfaceDiagram, p: Presentation) -> ValidationReport:
-    report = validate_diagram(d, p)
-    if not report.valid:
-        raise DdrError("invalid diagram: " + "; ".join(report.errors), code="INVALID_DIAGRAM")
-    return report
-
-
-def folding_edges(d: SurfaceDiagram, p: Presentation) -> tuple[FoldingEdge, ...]:
+def folding_edges(d: SurfaceDiagram) -> tuple[FoldingEdge, ...]:
     """Edges whose two sides lie on faces over the same relator index and
-    cross the same letter occurrence; a face may fold onto itself."""
-    _validated(d, p)
-    return _folding_scan(d)
-
-
-def _folding_scan(d: SurfaceDiagram) -> tuple[FoldingEdge, ...]:
-    # the folding edges of a diagram that has already been validated
+    cross the same letter occurrence; a face may fold onto itself.  The
+    diagram must be one that `validate_diagram` has accepted."""
     out = []
     for eid, (f1, p1), (f2, p2), _ in _side_pairs(d):
         face1, face2 = d.faces[f1], d.faces[f2]
@@ -297,7 +285,9 @@ def directed_verdict(d: SurfaceDiagram, p: Presentation, subset) -> DirectedVerd
     counterexample certificate.
     """
     s = frozenset(subset)
-    report = _validated(d, p)
+    report = validate_diagram(d, p)
+    if not report.valid:
+        raise DdrError("invalid diagram: " + "; ".join(report.errors), code="INVALID_DIAGRAM")
     if report.sphere:
         mode = "sphere"
     elif report.disc:
@@ -312,7 +302,7 @@ def directed_verdict(d: SurfaceDiagram, p: Presentation, subset) -> DirectedVerd
         raise DdrError("diagram is neither a sphere nor a disc" + pinched,
                        code="UNSUPPORTED_SURFACE")
     outside = tuple(e.id for e in d.edges if e.label not in s)
-    outside_foldings = tuple(f.edge_id for f in _folding_scan(d)
+    outside_foldings = tuple(f.edge_id for f in folding_edges(d)
                              if d.edge_by_id[f.edge_id].label not in s)
     verdict = REFUTES if outside and not outside_foldings else CONSISTENT
     return DirectedVerdict(verdict, mode, outside, outside_foldings)

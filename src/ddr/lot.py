@@ -260,8 +260,12 @@ def parse_lot_document(text: str) -> LotDocument:
             raise DdrError(f"unrecognized directive {head!r}", code="SYNTAX",
                            line=lineno, column=col)
     known = set(declared)  # declared vertices first, then new endpoints in order
-    lot = LOT(tuple(declared) + tuple(dict.fromkeys(
-        v for e in edges for v in (e.source, e.target) if v not in known)), tuple(edges))
+    try:
+        lot = LOT(tuple(declared) + tuple(dict.fromkeys(
+            v for e in edges for v in (e.source, e.target) if v not in known)), tuple(edges))
+    except DdrError as exc:
+        line, column = _lot_fault_at(text)
+        raise DdrError(str(exc), code=exc.code, line=line, column=column) from exc
     sublots = {}
     for name, vs, lineno, col in sublot_specs:
         if name in sublots:
@@ -273,6 +277,26 @@ def parse_lot_document(text: str) -> LotDocument:
             raise DdrError(f"sublot {name!r}: {exc}", code=exc.code,
                            line=lineno, column=col) from exc
     return LotDocument(lot, sublots)
+
+
+def _lot_fault_at(text: str) -> tuple[int | None, int | None]:
+    """The line and column of the first fault `LOT` finds in a LOT file, in
+    its order: each declared vertex's name and repetition, each endpoint's
+    name, each edge's label and ends.  (None, None) for a cycle or a forest."""
+    rows = [tokens for _, tokens in _significant_lines(text)]
+    declared = next((row[1:] for row in rows if row[0][0] == "vertices:"), [])
+    edges = [row for row in rows if row[0][0] == "edge"]
+    seen = set()
+    for k, (name, line, col) in enumerate(declared + [end for row in edges for end in row[1:3]]):
+        if not _NAME_RE.match(name) or (k < len(declared) and name in seen):
+            return line, col
+        seen.add(name)
+    for head, source, target, label in edges:
+        if label[0] not in seen:
+            return label[1:]
+        if source[0] == target[0]:
+            return head[1:]
+    return None, None
 
 
 def serialize_lot(lot: LOT) -> str:

@@ -196,7 +196,7 @@ def presentation_dr(p: Presentation) -> dict | None:
     return None
 
 
-def derive_consequences(cert: Certificate, p: Presentation, s: frozenset[str],
+def derive_consequences(cert: Certificate, p: Presentation,
                         carried: dict[frozenset[str], dict | None]) -> list[dict]:
     """Group-theoretic consequences of a positive directed-reducibility
     certificate: second-homotopy generation, injectivity on fundamental
@@ -228,7 +228,8 @@ def derive_consequences(cert: Certificate, p: Presentation, s: frozenset[str],
                          "reducibility in all directions includes plain reducibility)",
         })
         return out
-    subset_txt = "{" + ", ".join(sorted(s)) + "}"
+    s = frozenset(cert.subset)
+    subset_txt = "{" + ", ".join(cert.subset) + "}"
     out.append({
         "kind": "pi2_generation",
         "statement": f"pi2 of the presentation complex is generated, as a module over "
@@ -279,7 +280,7 @@ def _run_tests(report: Report, p: Presentation, s: frozenset[str], config: Check
         report.attempts.append(attempt if tag is None else {**attempt, "subset": tag})
         if cert is not None:
             if cert.positive:
-                cert.consequences = derive_consequences(cert, p, s, carried)
+                cert.consequences = derive_consequences(cert, p, carried)
             report.certificates.append(cert)
             if not config.run_all:
                 return
@@ -321,7 +322,7 @@ def _run_all_directions(p: Presentation, config: CheckConfig, report: Report) ->
         if cert is not None:
             for s in singles:
                 single = replace(cert, subset=tuple(s))
-                single.consequences = derive_consequences(single, p, s, carried)
+                single.consequences = derive_consequences(single, p, carried)
                 report.certificates.append(single)
             return
     if not report.certificates:

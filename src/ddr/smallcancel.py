@@ -1,4 +1,5 @@
-"""Piece computation, C(p)/T(q) checks, and the small-cancellation certificate.
+"""Piece computation and the small-cancellation certificate, the one place
+that decides C(4), C(6) and T(4).
 
 Pieces are longest common prefixes between distinct symmetrized occurrences.
 Distinctness is by provenance (source relator, inverted flag, rotation), not
@@ -121,39 +122,13 @@ def min_piece_decomposition(element: SymmetrizedRelator,
     return dp[n], tuple(reversed(cuts))
 
 
-@dataclass(frozen=True)
-class SmallCancellationReport:
-    p: int
-    q: int
-    c_holds: bool
-    t_holds: bool
-    c_witness: Optional[tuple[tuple[int, bool, int], int, tuple[int, ...]]]
-    t_witness: Optional[tuple[int, ...]]
-
-    @property
-    def holds(self) -> bool:
-        return self.c_holds and self.t_holds
-
-
-def _piece_products(table: PieceTable):
-    """(provenance, piece count, cuts) for each closure element, in closure
-    order, that is a product of pieces."""
+def _piece_counts(table: PieceTable):
+    """The least piece count of each closure element, in closure order, that
+    is a product of pieces."""
     for element in table.closure:
-        count, cuts = min_piece_decomposition(element, table)
+        count, _ = min_piece_decomposition(element, table)
         if count is not None:
-            yield element.provenance, count, cuts
-
-
-def check_small_cancellation(p: Presentation, p_val: int, q_val: int) -> SmallCancellationReport:
-    """C(p): no symmetrized occurrence is a product of fewer than p pieces.
-    T(q): no reduced star-graph cycle of length L with 3 <= L < q."""
-    if p_val < 2 or q_val < 3:
-        raise DdrError("need p >= 2 and q >= 3", code="BAD_PARAMETERS")
-    table = piece_table(p)
-    c_witness = next((w for w in _piece_products(table) if w[1] < p_val), None)
-    t_witness = shortest_reduced_cycle_in_range(p.whitehead, 3, q_val)
-    return SmallCancellationReport(p_val, q_val, c_witness is None, t_witness is None,
-                                   c_witness, t_witness)
+            yield count
 
 
 def _has_consecutive_subset_letters(p: Presentation, s: frozenset[str]) -> bool:
@@ -181,7 +156,7 @@ def certify_s44(p: Presentation, subset) -> Certificate:
 
     # one pass decides C(4) and C(6): fewer than 4 pieces is also fewer than 6
     c4_holds = c6_holds = True
-    for _, count, _ in _piece_products(piece_table(p)):
+    for count in _piece_counts(piece_table(p)):
         c6_holds = c6_holds and count >= 6
         if count < 4:
             c4_holds = False

@@ -61,10 +61,6 @@ class CornerEdge:
     a: WVertex
     b: WVertex
 
-    @property
-    def is_loop(self) -> bool:
-        return self.a == self.b
-
 
 @dataclass(frozen=True)
 class WhiteheadGraph:
@@ -83,10 +79,6 @@ class WhiteheadGraph:
     def head(self, dart: int) -> WVertex:
         e = self.edges[dart // 2]
         return e.b if dart % 2 == 0 else e.a
-
-    @staticmethod
-    def reverse(dart: int) -> int:
-        return dart ^ 1
 
     @cached_property
     def darts_from(self) -> Mapping[WVertex, tuple[int, ...]]:
@@ -147,12 +139,6 @@ class GraphView:
     def __post_init__(self):
         if self.mode not in (FULL, POSITIVE, NEGATIVE):
             raise ValueError(f"unknown view mode {self.mode!r}")
-
-    def vertex_set(self) -> frozenset[WVertex]:
-        if self.mode == FULL:
-            return frozenset(self.parent.vertices)
-        want = 1 if self.mode == POSITIVE else -1
-        return frozenset(v for v in self.parent.vertices if v.sign == want)
 
     def edge_ids(self) -> tuple[int, ...]:
         if self.mode == FULL:

@@ -31,13 +31,13 @@ def brute_min_reduced_cycle(graph: WhiteheadGraph, weights=None):
     def rec(path, used, total, limit):
         last = path[-1]
         head = graph.head(last)
-        if head == graph.tail(path[0]) and path[0] != graph.reverse(last):
+        if head == graph.tail(path[0]) and path[0] != last ^ 1:
             if best[0] is None or total < best[0]:
                 best[0], best[1] = total, tuple(path)
         if best[0] is not None and total >= best[0] or len(path) == limit:
             return
         for nxt in graph.darts_from[head]:
-            if nxt in used or nxt == graph.reverse(last):
+            if nxt in used or nxt == last ^ 1:
                 continue
             path.append(nxt)
             used.add(nxt)
@@ -65,12 +65,12 @@ def brute_min_cycle_ends(graph: WhiteheadGraph, weights):
             return
         last = path[-1]
         head = graph.head(last)
-        if head == graph.tail(path[0]) and path[0] != graph.reverse(last):
+        if head == graph.tail(path[0]) and path[0] != last ^ 1:
             found = (total, path[0], last)
             if best[0] is None or found < best[0]:
                 best[0] = found
         for nxt in graph.darts_from[head]:
-            if nxt < path[0] or nxt in used or nxt == graph.reverse(last):
+            if nxt < path[0] or nxt in used or nxt == last ^ 1:
                 continue
             path.append(nxt)
             used.add(nxt)
@@ -91,7 +91,7 @@ def brute_reduced_cycles_of_length(graph: WhiteheadGraph, length: int):
         ok = True
         for i in range(length):
             cur, nxt = walk[i], walk[(i + 1) % length]
-            if graph.head(cur) != graph.tail(nxt) or nxt == graph.reverse(cur):
+            if graph.head(cur) != graph.tail(nxt) or nxt == cur ^ 1:
                 ok = False
                 break
         if ok:
@@ -311,8 +311,16 @@ def infinitude_proof_error(p, index: int, free_rank: int,
                 if edge in column:
                     row[column[edge]] += sign
             rows.append(row)
+    rank = _rank(rows, len(column))
+    if len(column) - rank != free_rank:
+        return f"the stabiliser has free rank {len(column) - rank}, not {free_rank}"
+    return None
+
+
+def _rank(rows: list[list[Fraction]], ncols: int) -> int:
+    """The rank of a matrix, by `Fraction` elimination (the rows change)."""
     rank = 0
-    for c in range(len(column)):
+    for c in range(ncols):
         pivot = next((i for i in range(rank, len(rows)) if rows[i][c]), None)
         if pivot is None:
             continue
@@ -321,9 +329,26 @@ def infinitude_proof_error(p, index: int, free_rank: int,
             factor = rows[i][c] / rows[rank][c]
             rows[i] = [a - factor * b for a, b in zip(rows[i], rows[rank])]
         rank += 1
-    if len(column) - rank != free_rank:
-        return f"the stabiliser has free rank {len(column) - rank}, not {free_rank}"
-    return None
+    return rank
+
+
+def abelian_free_rank(p: Presentation) -> int:
+    """Free rank of the abelianization: the generator count less the rank of
+    the exponent-sum matrix."""
+    rows = [[Fraction(sum(l.sign for l in rel if l.gen == g)) for g in p.generators]
+            for rel in p.relators]
+    return len(p.generators) - _rank(rows, len(p.generators))
+
+
+def parse_word(text: str) -> Word:
+    """A word from text like "a b^-1 c^2", each token g^k read as |k| copies
+    of g or g^-1; no generator is checked against a presentation."""
+    word = []
+    for token in text.split():
+        name, _, exp = token.partition("^")
+        k = int(exp) if exp else 1
+        word.extend([Letter(name, 1 if k > 0 else -1)] * abs(k))
+    return tuple(word)
 
 
 def tuple_complex(table: GroupTable, p: Presentation) -> tuple[CayleyCell, ...]:

@@ -22,8 +22,7 @@ from ddr.core import (Presentation, free_edge_generators, is_cyclically_reduced,
 from ddr.diagram import (directed_verdict, folding_edges, loads_diagram,
                          matched_surface, validate_diagram)
 from ddr.lot import certify_lot, collapse, reorient_positive_tree, sub_lots
-from ddr.smallcancel import (certify_s44, check_small_cancellation,
-                             min_piece_decomposition, piece_table,
+from ddr.smallcancel import (certify_s44, min_piece_decomposition, piece_table,
                              symmetrized_closure)
 from ddr.weights import WeightAssignment, search_weights, verify_weight_test
 from ddr.whitehead import (NEGATIVE, POSITIVE, CornerEdge, GraphView,
@@ -52,7 +51,7 @@ def test_c01_fx1_matrix(fx1):
 def test_c02_fx2_refutation(fx2):
     disc = loads_diagram((FIXTURES / "fx2_disc.json").read_text())
     validation = validate_diagram(disc, fx2)
-    folds = folding_edges(disc, fx2)
+    folds = folding_edges(disc)
     c_folds = [f for f in folds if disc.edge_by_id[f.edge_id].label == "c"]
     verdict = directed_verdict(disc, fx2, {"a", "b"})
     positives = run_check(fx2, {"a", "b"}, CheckConfig(run_all=True, coset_limit=600))
@@ -99,8 +98,7 @@ KNOWN_GOOD_SETS = [{"x1", "x2", "x5"}, {"x1", "x2"}, {"x1", "x4"}, {"x1", "x5"},
 
 def test_c05_fxl1_small_cancellation(fxl1_doc):
     p = fxl1_doc.lot.presentation
-    sc = check_small_cancellation(p, 4, 4)
-    ok = sc.c_holds and sc.t_holds
+    ok = certify_s44(p, set()).evidence["case"] == "c4t4"
     for s in KNOWN_GOOD_SETS:
         cert = certify_s44(p, s)
         ok = ok and cert.verdict == "CERTIFIED_DR_AWAY_FROM"
@@ -127,7 +125,7 @@ def test_c06_fxl2_chain(fxl2_doc):
     graph = build_whitehead(bar.presentation)
     forest = is_forest(GraphView(graph, POSITIVE)).forest
     cert = certify_lot(t)
-    consequences = derive_consequences(cert, lot.presentation, t.vertex_subset, {})
+    consequences = derive_consequences(cert, lot.presentation, {})
     aspherical = any(c["kind"] == "aspherical" for c in consequences)
     sub_w_minus = is_forest(GraphView(
         build_whitehead(subpresentation(lot.presentation, t.vertex_subset)),
@@ -149,7 +147,7 @@ def test_c07_matched_surfaces(fx1):
         nonlocal failures, checked
         d = matched_surface(p, x)
         rep = validate_diagram(d, p)
-        labels = {d.edge_by_id[f.edge_id].label for f in folding_edges(d, p)}
+        labels = {d.edge_by_id[f.edge_id].label for f in folding_edges(d)}
         good = (rep.valid and rep.closed and rep.orientable
                 and any(e.label == x for e in d.edges)
                 and labels <= free_edge_generators(p))

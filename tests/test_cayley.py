@@ -5,13 +5,13 @@ from itertools import combinations
 import pytest
 
 from conftest import FIXTURES, random_word
-from oracles import (first_nontrivial_relator, infinitude_proof_error, rescan_collapse,
-                     tuple_complex)
+from oracles import (abelian_free_rank, first_nontrivial_relator, infinitude_proof_error,
+                     rescan_collapse, tuple_complex)
 from ddr import cayley
 from ddr.cli import main
 from ddr.core import BudgetSpent, DdrError, Presentation, parse_presentation
 from ddr.cayley import (COLLAPSED, STUCK, CollapseStep, GroupTable,
-                        abelian_free_rank, build_cayley_complex, coset_enumeration,
+                        build_cayley_complex, coset_enumeration,
                         decide_finite, directed_collapse, prove_infinite, replay_collapse)
 from ddr.pipeline import CheckConfig, run_check
 
@@ -142,16 +142,18 @@ class TestComplex:
     def test_fx1_counts(self, fx1):
         table = coset_enumeration(fx1, 3000)
         cx = build_cayley_complex(table, fx1)
-        assert (cx.vertex_count, cx.edge_count, cx.two_cell_count) == (1, 3, 3)
+        assert (table.element_count, cx.arrays.edge_count, len(cx.cells)) == (1, 3, 3)
 
     def test_cyclic_counts(self):
         p = parse_presentation("gens: a\nrel: a^3")
-        cx = build_cayley_complex(coset_enumeration(p, 100), p)
-        assert (cx.vertex_count, cx.edge_count, cx.two_cell_count) == (3, 3, 3)
+        table = coset_enumeration(p, 100)
+        cx = build_cayley_complex(table, p)
+        assert (table.element_count, cx.arrays.edge_count, len(cx.cells)) == (3, 3, 3)
 
     def test_klein_counts(self, klein4):
-        cx = build_cayley_complex(coset_enumeration(klein4, 200), klein4)
-        assert (cx.vertex_count, cx.edge_count, cx.two_cell_count) == (4, 8, 12)
+        table = coset_enumeration(klein4, 200)
+        cx = build_cayley_complex(table, klein4)
+        assert (table.element_count, cx.arrays.edge_count, len(cx.cells)) == (4, 8, 12)
 
     def test_boundaries_close(self, klein4):
         cx = build_cayley_complex(coset_enumeration(klein4, 200), klein4)
@@ -231,13 +233,18 @@ class TestDecide:
         assert decide_finite(p, set(), 100).verdict == "DECIDED_NOT_DR"
 
     def test_abelian_free_rank(self, fx1, fx4, klein4):
-        assert abelian_free_rank(klein4) == 0
-        assert abelian_free_rank(fx1) == 0
-        assert abelian_free_rank(fx4) == 2
-        assert abelian_free_rank(parse_presentation("gens: a b\nrel: a b a^-1 b^-1")) == 2
-        assert abelian_free_rank(parse_presentation("gens: a b\nrel: a^2 b^-3")) == 1
-        assert abelian_free_rank(parse_presentation("gens: a b\nrel: a^2 b\nrel: a^4 b^2")) == 1
-        assert abelian_free_rank(parse_presentation("gens: a b\nrel: a^2\nrel: b^3")) == 0
+        # the screen proves infinitude at index 1 exactly when the
+        # abelianization has positive free rank, and with that rank
+        for p, rank in ((klein4, 0), (fx1, 0), (fx4, 2),
+                        (parse_presentation("gens: a b\nrel: a b a^-1 b^-1"), 2),
+                        (parse_presentation("gens: a b\nrel: a^2 b^-3"), 1),
+                        (parse_presentation("gens: a b\nrel: a^2 b\nrel: a^4 b^2"), 1),
+                        (parse_presentation("gens: a b\nrel: a^2\nrel: b^3"), 0)):
+            assert abelian_free_rank(p) == rank
+            proof = prove_infinite(p)
+            at_index_one = proof is not None and proof.index == 1
+            assert at_index_one == (rank > 0)
+            assert not at_index_one or proof.free_rank == rank
 
     def test_infinite_abelianization_skips_enumeration(self, fx4, monkeypatch):
         def refuse(*args):

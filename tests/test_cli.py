@@ -85,7 +85,7 @@ class TestConsequences:
     def test_requires_positive(self, fx1):
         report = run_check(fx1, {"a"})
         with pytest.raises(ValueError):
-            derive_consequences(report.certificates[0], fx1, frozenset({"a"}), {})
+            derive_consequences(report.certificates[0], fx1, {})
 
 
 def _count_calls(monkeypatch, counts: Counter, module, name: str, *also) -> None:

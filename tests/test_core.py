@@ -7,11 +7,12 @@ from hypothesis import strategies as st
 from ddr import core
 from ddr.core import (CYCLIC, FREE, DdrError, Letter, Presentation,
                       free_edge_generators, inverse_word, is_cyclically_reduced,
-                      normalize_word, parse_presentation, parse_word,
+                      normalize_word, parse_presentation,
                       serialize_presentation, subpresentation, word_stats)
 from ddr.cayley import decide_finite
 from ddr.smallcancel import certify_s44
 from ddr.weights import WeightAssignment, search_weights, verify_weight_test
+from oracles import parse_word
 
 W = parse_word
 

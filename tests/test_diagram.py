@@ -170,18 +170,21 @@ class TestFolding:
     def test_double_of_single_face_folds_everywhere(self):
         p = parse_presentation("gens: a b c\nrel: a b c")
         d = triangle_sphere(p)
-        folds = folding_edges(d, p)
+        assert validate_diagram(d, p).valid
+        folds = folding_edges(d)
         assert sorted(f.edge_id for f in folds) == [0, 1, 2]
 
     def test_fx2_disc_no_foldings(self, fx2, fx2_disc):
-        assert folding_edges(fx2_disc, fx2) == ()
+        assert validate_diagram(fx2_disc, fx2).valid
+        assert folding_edges(fx2_disc) == ()
 
     def test_torus_face_not_self_folding(self, fx4):
         edges = (DiagramEdge(0, "a", 0, 0), DiagramEdge(1, "b", 0, 0))
         face = DiagramFace(0, 1, (BoundaryStep(0, 1), BoundaryStep(1, 1),
                                   BoundaryStep(0, -1), BoundaryStep(1, -1)))
         d = SurfaceDiagram(1, edges, (face,))
-        assert folding_edges(d, fx4) == ()
+        assert validate_diagram(d, fx4).valid
+        assert folding_edges(d) == ()
 
     def test_same_sign_pillowcase_folds(self):
         # two faces listing identical walks: valid, orientable after
@@ -192,7 +195,7 @@ class TestFolding:
         d = SurfaceDiagram(2, edges, (face, face))
         report = validate_diagram(d, p)
         assert report.valid and report.sphere
-        assert sorted(f.edge_id for f in folding_edges(d, p)) == [0, 1]
+        assert sorted(f.edge_id for f in folding_edges(d)) == [0, 1]
 
     def test_duplicate_relators_fold_by_index_only(self):
         # same word twice: gluing face over relator 0 to face over relator 1
@@ -203,7 +206,7 @@ class TestFolding:
         f1 = DiagramFace(1, 1, (BoundaryStep(0, 1), BoundaryStep(1, 1)))
         d = SurfaceDiagram(2, edges, (f0, f1))
         assert validate_diagram(d, p).valid
-        assert folding_edges(d, p) == ()
+        assert folding_edges(d) == ()
 
     def test_stacked_commutator_pair_folds_y_edges(self, fx3):
         # a commutator face and its mirror sharing the connecting y-edges:
@@ -216,9 +219,9 @@ class TestFolding:
                                          BoundaryStep(2, -1), BoundaryStep(0, -1)))
         d = SurfaceDiagram(2, edges, (face_plus, face_minus))
         assert validate_diagram(d, fx3).valid
-        fold_labels = {d.edge_by_id[f.edge_id].label for f in folding_edges(d, fx3)}
+        fold_labels = {d.edge_by_id[f.edge_id].label for f in folding_edges(d)}
         assert "y1" in fold_labels
-        assert [f.edge_id for f in folding_edges(d, fx3)] == brute_folding_edges(d, fx3)
+        assert [f.edge_id for f in folding_edges(d)] == brute_folding_edges(d, fx3)
 
     def test_matches_brute_force_on_random_diagrams(self):
         rng = random.Random(31)
@@ -231,8 +234,9 @@ class TestFolding:
             if not candidates:
                 continue
             d = matched_surface(p, rng.choice(candidates))
+            assert validate_diagram(d, p).valid
             expected = brute_folding_edges(d, p)
-            got = [f.edge_id for f in folding_edges(d, p)]
+            got = [f.edge_id for f in folding_edges(d)]
             assert got == expected
             count += 1
 
@@ -250,7 +254,7 @@ class TestFolding:
         d = SurfaceDiagram(4, edges, (plus, minus))
         report = validate_diagram(d, p)
         assert report.valid and report.sphere
-        folds = folding_edges(d, p)
+        folds = folding_edges(d)
         brute = brute_folding_edges(d, p)
         assert [f.edge_id for f in folds] == brute == []
 
@@ -307,7 +311,7 @@ class TestDouble:
         assert report.sphere
         assert len(doubled.faces) == 4
         labels = {doubled.edge_by_id[f.edge_id].label
-                  for f in folding_edges(doubled, fx2)}
+                  for f in folding_edges(doubled)}
         assert "c" not in labels
         assert any(e.label == "c" for e in doubled.edges)
         assert directed_verdict(doubled, fx2, {"a", "b"}).verdict == "REFUTES"
@@ -380,7 +384,7 @@ class TestMatchedSurface:
         report = validate_diagram(d, fx1)
         assert report.valid and report.closed and report.orientable
         assert any(e.label == "a" for e in d.edges)
-        labels = {d.edge_by_id[f.edge_id].label for f in folding_edges(d, fx1)}
+        labels = {d.edge_by_id[f.edge_id].label for f in folding_edges(d)}
         assert labels <= free_edge_generators(fx1)
         assert labels == {"c"}
 
@@ -388,7 +392,7 @@ class TestMatchedSurface:
         d = matched_surface(fx4, "a")
         report = validate_diagram(d, fx4)
         assert report.valid and report.closed and report.orientable
-        assert folding_edges(d, fx4) == ()
+        assert folding_edges(d) == ()
 
     def test_two_digons(self):
         p = parse_presentation("gens: a\nrel: a a")

@@ -7,12 +7,12 @@ import pytest
 from conftest import random_compressed_lot, random_lot
 from ddr import lot as lot_module
 from ddr.cli import main
-from ddr.core import DdrError, parse_word, word_stats
+from ddr.core import DdrError, word_stats
 from ddr.lot import (LOT, LotEdge, SubLot, certify_lot, collapse, lot_properties, make_sublot,
                      parse_lot_document, reorient_positive_tree, serialize_lot, sub_lots)
 from ddr.pipeline import derive_consequences
 from ddr.whitehead import POSITIVE, GraphView, build_whitehead, is_forest
-from oracles import insert
+from oracles import insert, parse_word
 
 W = parse_word
 
@@ -32,7 +32,7 @@ class TestParse:
     def test_disconnected_rejected(self):
         with pytest.raises(DdrError) as exc:
             parse_lot_document("vertices: x1 x2 x3\nedge x1 x2 x3").lot
-        assert exc.value.code == "NOT_A_TREE"
+        assert (exc.value.code, exc.value.line) == ("NOT_A_TREE", None)
 
     def test_fxl1(self, fxl1_doc):
         lot = fxl1_doc.lot
@@ -55,7 +55,7 @@ class TestParse:
     def test_cycle_rejected(self):
         with pytest.raises(DdrError) as exc:
             parse_lot_document("edge a b a\nedge b c a\nedge c a b").lot
-        assert exc.value.code == "NOT_A_TREE"
+        assert (exc.value.code, exc.value.line) == ("NOT_A_TREE", None)
 
     @pytest.mark.parametrize("text, code, line, column", [
         ("vertices: a b\n  edge a b\n", "SYNTAX", 2, 3),
@@ -64,6 +64,13 @@ class TestParse:
         ("edge a b a\nsublot: T\n", "SYNTAX", 2, 1),
         ("vertices: a b\nedge a b a\nsublot: T a\n", "BAD_SUBLOT", 3, 9),
         ("edge a b a\nedge b c b\nsublot: T a b\nsublot: T b c\n", "SYNTAX", 4, 9),
+        # faults of the LOT found once it is built: the token named, or
+        # the edge line of a self-loop
+        ("edge x1 x2 x3", "LABEL_NOT_A_VERTEX", 1, 12),
+        ("vertices: a a", "DUPLICATE_VERTEX", 1, 13),
+        ("edge a 2c a", "BAD_NAME", 1, 8),
+        ("edge a a a", "NOT_A_TREE", 1, 1),
+        ("edge a b a\nvertices: b a\n  edge b 3d a", "BAD_NAME", 3, 10),
     ])
     def test_errors_name_line_and_column(self, text, code, line, column):
         with pytest.raises(DdrError) as exc:
@@ -404,7 +411,7 @@ class TestCertify:
         assert cert.subset == ("x1", "x2", "x3", "x4", "x5")
         assert cert.evidence["test"] == "forest"
         assert cert.evidence["side"] == "positive"
-        consequences = derive_consequences(cert, lot.presentation, t.vertex_subset, {})
+        consequences = derive_consequences(cert, lot.presentation, {})
         assert cert.evidence["sublot_presentation_dr"]["method"] == "forest"
         assert any(c["kind"] == "aspherical" for c in consequences)
 

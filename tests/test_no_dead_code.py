@@ -1,8 +1,9 @@
 """Lint: every top-level function and class in `src/ddr` is read somewhere
 in `src/ddr` other than its own definition, unless `UNREAD` names it with
-the reason it stays; and every name a module of `src/ddr` imports is read
-in that module, unless `UNREAD_IMPORTS` names it (as `module.name`) with
-the reason it stays.
+the reason it stays; every method and property of a class there (dunders
+aside) is read likewise, unless `UNREAD_MEMBERS` names it (as
+`Class.member`); and every name a module of `src/ddr` imports is read in
+that module, unless `UNREAD_IMPORTS` names it (as `module.name`).
 
 A read is a name or an attribute in any module's code; an import alone is
 not one.  Each allowlist entry must still be defined (or imported) and
@@ -13,6 +14,7 @@ import ast
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "ddr"
+DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
 UNREAD = {
     "replay_collapse": "bench/gate.py re-checks finite certificates with it",
@@ -20,11 +22,12 @@ UNREAD = {
     "sub_lots": "bench/run.py traces it; the tests use the lattice as an oracle",
     "double_disc": "public API named in the README",
     "matched_surface": "public API named in the README",
-    "check_small_cancellation": "public API: the C(p), T(q) report, tested on its own",
-    "dumps_diagram": "public API: the writer paired with loads_diagram",
-    "parse_word": "test helper: builds words from text",
-    "folding_edges": "test helper: the validating folding scan",
-    "abelian_free_rank": "test helper: the free rank of the abelianization",
+    "dumps_diagram": "public API named in the README: the writer paired with loads_diagram",
+}
+
+UNREAD_MEMBERS = {
+    "_Parser.error": "argparse calls it on a usage error",
+    "WeightAssignment.serialize": "public API: the writer of the weight-file format in the README",
 }
 
 UNREAD_IMPORTS = {
@@ -34,36 +37,62 @@ UNREAD_IMPORTS = {
 }
 
 
-def _definitions_and_reads() -> tuple[set[str], set[str]]:
+def _reads(node: ast.AST, own: frozenset[str] = frozenset()) -> set[str]:
+    """The names and attributes read under `node`, except a definition's
+    reads of its own name."""
+    if isinstance(node, DEFS):
+        own = own | {node.name}
+    if isinstance(node, ast.Name):
+        found = {node.id}
+    elif isinstance(node, ast.Attribute):
+        found = {node.attr}
+    else:
+        found = set()
+    for child in ast.iter_child_nodes(node):
+        found |= _reads(child, own)
+    return found - own
+
+
+def _definitions_and_reads() -> tuple[set[str], dict[str, str], set[str]]:
+    """The top-level definitions, the members (`Class.member` -> member
+    name) and the names read, over every module of `src/ddr`."""
     defined: set[str] = set()
+    members: dict[str, str] = {}
     read: set[str] = set()
     for path in sorted(SRC.glob("*.py")):
-        for node in ast.parse(path.read_text(encoding="utf-8")).body:
-            own = None
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                own = node.name
-                defined.add(own)
-            for sub in ast.walk(node):
-                if isinstance(sub, ast.Name):
-                    name = sub.id
-                elif isinstance(sub, ast.Attribute):
-                    name = sub.attr
-                else:
-                    continue
-                if name != own:
-                    read.add(name)
-    return defined, read
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        read |= _reads(tree)
+        for node in tree.body:
+            if isinstance(node, DEFS):
+                defined.add(node.name)
+            if isinstance(node, ast.ClassDef):
+                members.update((f"{node.name}.{m.name}", m.name) for m in node.body
+                               if isinstance(m, DEFS[:2])
+                               and not (m.name.startswith("__") and m.name.endswith("__")))
+    return defined, members, read
 
 
 def test_every_definition_is_read():
-    defined, read = _definitions_and_reads()
+    defined, _, read = _definitions_and_reads()
     assert sorted(defined - read - set(UNREAD)) == []
 
 
 def test_allowlist_names_only_unread_definitions():
-    defined, read = _definitions_and_reads()
+    defined, _, read = _definitions_and_reads()
     assert sorted(set(UNREAD) - defined) == []
     assert sorted(set(UNREAD) & read) == []
+
+
+def test_every_member_is_read():
+    _, members, read = _definitions_and_reads()
+    assert sorted(key for key, name in members.items()
+                  if name not in read and key not in UNREAD_MEMBERS) == []
+
+
+def test_member_allowlist_names_only_unread_members():
+    _, members, read = _definitions_and_reads()
+    assert sorted(set(UNREAD_MEMBERS) - set(members)) == []
+    assert sorted(key for key in UNREAD_MEMBERS if members[key] in read) == []
 
 
 def _unread_imports() -> tuple[set[str], set[str]]:

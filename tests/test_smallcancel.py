@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 
 import pytest
 
@@ -6,14 +7,11 @@ from conftest import random_presentation
 from oracles import (brute_min_pieces, brute_occurrences,
                      brute_reduced_cycles_of_length)
 from ddr import smallcancel
-from ddr.core import DdrError, Presentation, inverse_word, parse_presentation, parse_word
-from ddr.smallcancel import (check_small_cancellation,
-                             certify_s44, min_piece_decomposition, piece_table,
+from ddr.core import DdrError, Presentation, inverse_word, parse_presentation
+from ddr.smallcancel import (certify_s44, min_piece_decomposition, piece_table,
                              symmetrized_closure)
 from ddr.weights import verify_weight_test
 from ddr.whitehead import build_whitehead, shortest_reduced_cycle_in_range
-
-W = parse_word
 
 
 class TestClosure:
@@ -90,18 +88,15 @@ class TestPieces:
 
 class TestConditions:
     def test_fx3_c4t4(self, fx3):
-        report = check_small_cancellation(fx3, 4, 4)
-        assert report.c_holds and report.t_holds
+        assert certify_s44(fx3, set()).evidence["case"] == "c4t4"
 
     def test_fx4_c6_fails(self, fx4):
-        report = check_small_cancellation(fx4, 6, 3)
-        assert not report.c_holds
-        provenance, count, cuts = report.c_witness
-        assert count == 4
+        table = piece_table(fx4)
+        counts = [min_piece_decomposition(e, table)[0] for e in symmetrized_closure(fx4)]
+        assert min(counts) == 4
 
     def test_fxl1_c4t4(self, fxl1_doc):
-        report = check_small_cancellation(fxl1_doc.lot.presentation, 4, 4)
-        assert report.c_holds and report.t_holds
+        assert certify_s44(fxl1_doc.lot.presentation, set()).evidence["case"] == "c4t4"
 
     def test_tq_matches_brute_force(self):
         rng = random.Random(15)
@@ -117,18 +112,11 @@ class TestConditions:
             if g.dart_count > 12:
                 continue
             for q in (3, 4, 5):
-                report = check_small_cancellation(cyc, 2, q)
                 brute_short = any(brute_reduced_cycles_of_length(g, L)
                                   for L in range(3, q))
-                assert report.t_holds == (not brute_short)
+                assert (shortest_reduced_cycle_in_range(g, 3, q) is not None) == brute_short
             checked += 1
         assert checked >= 10
-
-    def test_parameter_validation(self, fx4):
-        for p_val, q_val in ((1, 4), (4, 2)):
-            with pytest.raises(DdrError) as exc:
-                check_small_cancellation(fx4, p_val, q_val)
-            assert exc.value.code == "BAD_PARAMETERS"
 
 
 class TestCertify:
@@ -189,13 +177,16 @@ class TestCertify:
         assert exc.value.code == "S_NOT_PROPER"
 
     def test_parallel_edges_weighted_one(self):
-        # x y x y^-1 has a length-2 star cycle; its corners get weight 1
-        p = parse_presentation("gens: x y z\nrel: x y x y^-1\nrel: z x y")
-        report = check_small_cancellation(p, 4, 4)
-        if report.holds:
-            cert = certify_s44(p, set())
-            weights = cert.evidence["weights"]["weights"]
-            assert "1/1" in weights.values() or "1" in weights.values()
+        # a C(4),T(4) relator whose star graph has parallel corners: those
+        # lie on a length-2 cycle and get weight 1, the others 1/2
+        p = parse_presentation("gens: a b c\nrel: c c b^-1 b^-1 a c")
+        cert = certify_s44(p, set())
+        assert cert.evidence["case"] == "c4t4"
+        ends = Counter(frozenset((e.a, e.b)) for e in p.whitehead.edges)
+        assert max(ends.values()) > 1
+        assert cert.evidence["weights"]["weights"] == {
+            str(e.id): "1/1" if ends[frozenset((e.a, e.b))] > 1 else "1/2"
+            for e in p.whitehead.edges}
 
 
 def brute_is_piece_cached(u, occurrences):
